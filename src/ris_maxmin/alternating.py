@@ -132,6 +132,9 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             out = lse_max_min_phase(chan, phase, p_cap, sigma2, opts)
             if out.warning:
                 diagnostics.append(f"sweep {sweeps}: {out.warning}")
+            elif not out.converged:
+                diagnostics.append(f"sweep {sweeps}: lse phase step stopped unconverged "
+                                   f"after {out.iterations} iterations")
             # the step is judged on the SINR after power control, so commit the
             # new phase together with the powers and combiners that realize it
             bf_new = optimal_beamformers(chan, out.phase, out.power, sigma2)

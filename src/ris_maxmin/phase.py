@@ -15,10 +15,9 @@ SINR. The diagonal v[k,k] satisfies v[k,k]^H u = b_k^H g_k exactly.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.optimize
 
-from .beamforming import post_bf_sinr_values
+from .beamforming import _mmse_state, post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
                    _bf_matrix, _power_array, effective_channel)
 from .errors import ConfigurationError, DomainError, NumericError
@@ -124,60 +123,45 @@ def lse_objective(sinr_values) -> float:
     return float(shift + np.log(np.sum(np.exp(x - shift))))
 
 
-def _effective_channel_fast(cascade: np.ndarray, h2: np.ndarray, phi_vec: np.ndarray) -> np.ndarray:
-    return cascade @ (phi_vec[:, None] * h2.T)
-
-
 def sinr_phase_derivative(chan: ChannelRealization, powers, phase: PhaseVector,
                           sigma2: float):
     """Complex derivative of every post-combining SINR w.r.t. every phase.
 
     Returns (deriv, sinr): ``deriv[k, n]`` is the Wirtinger derivative of
     sinr_k with respect to conj(phi_n) (the amplitude factor included), and
-    sinr_k = p_k g_k^H (S_k + sigma2*I)^{-1} g_k. Writing T = (S_k +
-    sigma2*I)^{-1}, A = h1 @ ris_corr_sqrt and c_i = g_k^H T g_i,
+    sinr_k = p_k g_k^H T_k g_k with T_k = (S_k + sigma2*I)^{-1}. Writing
+    C = h1 @ ris_corr_sqrt and c_ki = g_k^H T_k g_i,
 
-        deriv[k] = p_k * alpha * (conj(h2[k]) - sum_{i != k} p_i c_i conj(h2[i])) * (A^H T g_k)
+        deriv[k] = p_k * alpha * (conj(h2[k]) - sum_{i != k} p_i c_ki conj(h2[i])) * (C^H T_k g_k)
 
     elementwise over n, which is the trace form of the matrix-inverse
     derivative identity collapsed onto rank-one factors. The real tangent
     along the unit circle is 2*Re(j * phi_n * conj(deriv[k, n])).
+
+    No T_k is formed: every T_k g_k and c_ki comes from one factorization
+    of A = sum_i p_i g_i g_i^H + sigma2*I by Sherman-Morrison (see
+    ``beamforming``), T_k g_k = x_k / s_k and c_ki = g_k^H x_i / s_k with
+    X = A^{-1} G and slack s_k = 1 - p_k g_k^H x_k = 1 / (1 + sinr_k); a
+    user whose slack cancels takes its own factorization of S_k + sigma2*I.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
-    deriv, sinr, _ = _derivative_terms(chan, _power_array(powers), phase, sigma2)
+    g = effective_channel(chan, phase)
+    deriv, sinr, _ = _derivative_terms(chan, g, _power_array(powers), phase, sigma2)
     return deriv, sinr
 
 
-def _derivative_terms(chan: ChannelRealization, p: np.ndarray, phase: PhaseVector,
-                      sigma2: float):
-    """sinr_phase_derivative plus the couplings: couplings[j, i] = g_j^H T_j g_i."""
-    cascade = chan.cascade_matrix()
-    g = _effective_channel_fast(cascade, chan.h2, phase.phi_vec)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("effective channel contains non-finite entries")
-    m, k = g.shape
-    total = (g * p) @ g.conj().T
-    eye = sigma2 * np.eye(m)
-    deriv = np.zeros((k, chan.n), dtype=complex)
-    sinr = np.zeros(k)
-    couplings = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        s_j = total - p[j] * np.outer(g[:, j], g[:, j].conj()) + eye
-        s_j = 0.5 * (s_j + s_j.conj().T)
-        try:
-            factor = sla.cho_factor(s_j, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"interference matrix for user {j} is not positive definite") from exc
-        solved = sla.cho_solve(factor, g, check_finite=False)     # T g_i for all i
-        coupling = g[:, j].conj() @ solved                         # c_i = g_j^H T g_i
-        couplings[j] = coupling
-        sinr[j] = p[j] * coupling[j].real
-        weights = -p * coupling
-        weights[j] = 1.0
-        combo = weights @ chan.h2.conj()                           # (n,)
-        deriv[j] = p[j] * phase.alpha * combo * (cascade.conj().T @ solved[:, j])
-    return deriv, sinr, couplings
+def _derivative_terms(chan: ChannelRealization, g: np.ndarray, p: np.ndarray,
+                      phase: PhaseVector, sigma2: float):
+    """sinr_phase_derivative at the effective channels ``g``, plus the
+    couplings: couplings[j, i] = g_j^H T_j g_i."""
+    state = _mmse_state(g, p, sigma2)
+    weights = -p * state.couplings
+    np.fill_diagonal(weights, 1.0)
+    combo = weights @ chan.h2.conj()                                   # (k, n)
+    projected = (chan.cascade_matrix().conj().T @ state.directions).T  # C^H T_j g_j
+    deriv = (phase.alpha * p)[:, None] * combo * projected
+    return deriv, state.sinr, state.couplings
 
 
 def _tangent(phase: PhaseVector, deriv: np.ndarray) -> np.ndarray:
@@ -211,11 +195,12 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
-    result = mmse_max_min_power(effective_channel(chan, phase), cap, sigma2, start)
+    g = effective_channel(chan, phase)
+    result = mmse_max_min_power(g, cap, sigma2, start)
     if result.degenerate:
         return np.zeros(phase.n), result
     p = result.power.p
-    deriv, _, couplings = _derivative_terms(chan, p, phase, sigma2)
+    deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2)
     k = p.size
     jac = -p[:, None] * np.abs(couplings) ** 2
     jac[np.diag_indices(k)] = np.real(np.diagonal(couplings))
@@ -258,7 +243,7 @@ class LseResult:
 
 def _postbf_values(cascade, h2, p, sigma2, alpha, theta):
     phi_vec = alpha * np.exp(1j * theta)
-    return post_bf_sinr_values(_effective_channel_fast(cascade, h2, phi_vec), p, sigma2)
+    return post_bf_sinr_values(cascade @ (phi_vec[:, None] * h2.T), p, sigma2)
 
 
 def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
