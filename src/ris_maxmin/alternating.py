@@ -31,6 +31,8 @@ from .power import effective_power_cap, gain_table, max_min_power
 from .sdr import SdrOptions, sdr_dinkelbach_phase
 
 METHODS = ("sdr", "lse", "quant", "random-baseline")
+SWEEP_TOL = 1e-4        # default relative improvement per sweep that stops the loop
+MAX_SWEEPS = 30         # default sweep cap
 
 
 @dataclass
@@ -55,7 +57,8 @@ def _min_sinr(chan, phase, power, bf, sigma2) -> float:
 
 
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
-                         rng: np.random.Generator, tol: float = 1e-4, max_sweeps: int = 30,
+                         rng: np.random.Generator, tol: float = SWEEP_TOL,
+                         max_sweeps: int = MAX_SWEEPS,
                          phase_options=None) -> Solution:
     """Maximize the minimum uplink SINR by block-coordinate sweeps.
 

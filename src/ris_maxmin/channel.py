@@ -84,7 +84,8 @@ def sample_los_angles(m: int, n: int, rng: np.random.Generator) -> LosAngleSet:
 
 
 def los_steering_matrix(m: int, n: int, angles: LosAngleSet,
-                        d_bs: float = 0.5, d_ris: float = 0.5) -> np.ndarray:
+                        d_bs: float = SystemConfig.d_bs,
+                        d_ris: float = SystemConfig.d_ris) -> np.ndarray:
     """Unit-modulus (m, n) steering matrix of the deterministic BS-RIS path.
 
     Entry (a, b), zero-based, is

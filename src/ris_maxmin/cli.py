@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, OSError) as exc:
+    except (NumericError, np.linalg.LinAlgError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,24 +2,25 @@
 method and dimension grids, and CSV emission.
 
 Config files are flat UTF-8 ``key: value`` text; list values are
-comma-separated. Unknown keys are rejected, and every parse or range error
-names the offending key and line. Within one trial every method consumes
-the same channel realization (paired comparison); per-trial seeds are
-derived from the base seed and the grid/trial indices, so reruns of the
-same config produce byte-identical CSVs apart from the wall-time column.
+comma-separated and ``#`` starts a comment. Unknown keys are rejected, and
+every parse or range error names the offending key and line. Within one
+trial every method consumes the same channel realization (paired
+comparison); per-trial seeds are derived from the base seed and the
+grid/trial indices, so reruns of the same config produce byte-identical
+CSVs apart from the wall-time column.
 """
 
 import csv
 import hashlib
 import io
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .alternating import METHODS, Solution, alternating_optimize
+from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
+                          alternating_optimize)
 from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
@@ -38,11 +39,11 @@ class ExperimentPlan:
     m_grid: tuple = ()
     n_grid: tuple = ()
     b_grid: tuple = (3,)
-    quant_window: int = 50
-    quant_epsilon: float = 1e-8
-    n_rand: int = 200
-    tol: float = 1e-4
-    max_sweeps: int = 30
+    quant_window: int = QuantOptions.window
+    quant_epsilon: float = QuantOptions.epsilon
+    n_rand: int = SdrOptions.n_rand
+    tol: float = SWEEP_TOL
+    max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
         if self.trials < 1:
@@ -54,71 +55,65 @@ class ExperimentPlan:
             raise ConfigurationError("b_grid entries must be >= 1")
 
 
-def _parse_int(text):
-    return int(text)
+def _list_of(item):
+    return lambda text: tuple(item(v.strip()) for v in text.split(","))
 
 
-def _parse_float(text):
-    return float(text)
+def _parse_point(text):
+    point = _list_of(float)(text)
+    if len(point) != 2:
+        raise ValueError(f"expected exactly two entries, got {len(point)}")
+    return point
 
 
-def _parse_float_list(text):
-    return tuple(float(v.strip()) for v in text.split(","))
-
-
-def _parse_int_list(text):
-    return tuple(int(v.strip()) for v in text.split(","))
-
-
-def _parse_str_list(text):
-    return tuple(v.strip() for v in text.split(","))
-
-
-# key -> (parser, required). Scenario keys mirror SystemConfig, plan keys ExperimentPlan.
+# key -> (owner dataclass, field, parser), in dump_config's line order. A
+# key's default is its field's default; a field without one makes it required.
 CONFIG_KEYS = {
-    "m": (_parse_int, True),
-    "n": (_parse_int, True),
-    "k": (_parse_int, True),
-    "alpha": (_parse_float, False),
-    "sigma2_w": (_parse_float, False),
-    "kappa": (_parse_float, False),
-    "p_max_w": (_parse_float, False),
-    "sar_ref": (_parse_float_list, False),
-    "emf_max": (_parse_float_list, False),
-    "gain_bs_dbi": (_parse_float, False),
-    "gain_ris_dbi": (_parse_float, False),
-    "gain_user_dbi": (_parse_float, False),
-    "ris_position_m": (_parse_float_list, False),
-    "r_min_m": (_parse_float, False),
-    "r_max_m": (_parse_float, False),
-    "bandwidth_hz": (_parse_float, False),
-    "d_bs": (_parse_float, False),
-    "d_ris": (_parse_float, False),
-    "ris_corr_rho": (_parse_float, False),
-    "trials": (_parse_int, True),
-    "seed": (_parse_int, True),
-    "methods": (_parse_str_list, False),
-    "k_grid": (_parse_int_list, False),
-    "m_grid": (_parse_int_list, False),
-    "n_grid": (_parse_int_list, False),
-    "b_grid": (_parse_int_list, False),
-    "quant_window": (_parse_int, False),
-    "quant_epsilon": (_parse_float, False),
-    "n_rand": (_parse_int, False),
-    "tol": (_parse_float, False),
-    "max_sweeps": (_parse_int, False),
+    "m": (SystemConfig, "m", int),
+    "n": (SystemConfig, "n", int),
+    "k": (SystemConfig, "k", int),
+    "alpha": (SystemConfig, "alpha", float),
+    "sigma2_w": (SystemConfig, "sigma2", float),
+    "kappa": (SystemConfig, "kappa", float),
+    "p_max_w": (SystemConfig, "p_max", float),
+    "sar_ref": (SystemConfig, "sar_ref", _list_of(float)),
+    "emf_max": (SystemConfig, "emf_max", _list_of(float)),
+    "gain_bs_dbi": (SystemConfig, "gain_bs_dbi", float),
+    "gain_ris_dbi": (SystemConfig, "gain_ris_dbi", float),
+    "gain_user_dbi": (SystemConfig, "gain_user_dbi", float),
+    "ris_position_m": (SystemConfig, "ris_position", _parse_point),
+    "r_min_m": (SystemConfig, "r_min", float),
+    "r_max_m": (SystemConfig, "r_max", float),
+    "bandwidth_hz": (SystemConfig, "bandwidth_hz", float),
+    "d_bs": (SystemConfig, "d_bs", float),
+    "d_ris": (SystemConfig, "d_ris", float),
+    "ris_corr_rho": (SystemConfig, "ris_corr_rho", float),
+    "trials": (ExperimentPlan, "trials", int),
+    "seed": (ExperimentPlan, "seed", int),
+    "methods": (ExperimentPlan, "methods", _list_of(str)),
+    "k_grid": (ExperimentPlan, "k_grid", _list_of(int)),
+    "m_grid": (ExperimentPlan, "m_grid", _list_of(int)),
+    "n_grid": (ExperimentPlan, "n_grid", _list_of(int)),
+    "b_grid": (ExperimentPlan, "b_grid", _list_of(int)),
+    "quant_window": (ExperimentPlan, "quant_window", int),
+    "quant_epsilon": (ExperimentPlan, "quant_epsilon", float),
+    "n_rand": (ExperimentPlan, "n_rand", int),
+    "tol": (ExperimentPlan, "tol", float),
+    "max_sweeps": (ExperimentPlan, "max_sweeps", int),
 }
 
-_PLAN_KEYS = ("trials", "seed", "methods", "k_grid", "m_grid", "n_grid", "b_grid",
-              "quant_window", "quant_epsilon", "n_rand", "tol", "max_sweeps")
+
+def _is_required(owner, name) -> bool:
+    field = next(f for f in fields(owner) if f.name == name)
+    return field.default is MISSING and field.default_factory is MISSING
 
 
 def parse_config_text(text: str):
     """Parse config text into (SystemConfig, ExperimentPlan); strict keys."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if ":" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key: value', got {line!r}")
@@ -129,47 +124,27 @@ def parse_config_text(text: str):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        parser, _ = CONFIG_KEYS[key]
+        _, _, parser = CONFIG_KEYS[key]
         try:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
-    missing = [k for k, (_, required) in CONFIG_KEYS.items() if required and k not in values]
+    missing = [key for key, (owner, name, _) in CONFIG_KEYS.items()
+               if key not in values and _is_required(owner, name)]
     if missing:
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
 
-    scenario = {
-        "m": values["m"],
-        "n": values["n"],
-        "k": values["k"],
-        "alpha": values.get("alpha", 1.0),
-        "sigma2": values.get("sigma2_w"),
-        "kappa": values.get("kappa", 10.0),
-        "p_max": values.get("p_max_w", 0.5),
-        "sar_ref": np.asarray(values.get("sar_ref", 63e-4)),
-        "emf_max": np.asarray(values.get("emf_max", 0.0029)),
-        "gain_bs_dbi": values.get("gain_bs_dbi", 5.0),
-        "gain_ris_dbi": values.get("gain_ris_dbi", 0.0),
-        "gain_user_dbi": values.get("gain_user_dbi", 0.0),
-        "r_min": values.get("r_min_m", 10.0),
-        "r_max": values.get("r_max_m", 70.0),
-        "bandwidth_hz": values.get("bandwidth_hz", 1e8),
-        "d_bs": values.get("d_bs", 0.5),
-        "d_ris": values.get("d_ris", 0.5),
-        "ris_corr_rho": values.get("ris_corr_rho", 0.0),
-    }
-    if "ris_position_m" in values:
-        pos = values["ris_position_m"]
-        if len(pos) != 2:
-            raise ConfigurationError("ris_position_m must have exactly two entries")
-        scenario["ris_position"] = (pos[0], pos[1])
+    def kwargs(cls):
+        return {name: values[key] for key, (owner, name, _) in CONFIG_KEYS.items()
+                if owner is cls and key in values}
+
     try:
-        config = SystemConfig(**scenario)
+        config = SystemConfig(**kwargs(SystemConfig))
     except ConfigurationError as exc:
         raise ConfigurationError(f"invalid scenario value: {exc}") from exc
 
-    plan_kwargs = {k: values[k] for k in _PLAN_KEYS if k in values}
+    plan_kwargs = kwargs(ExperimentPlan)
     plan_kwargs.setdefault("k_grid", (config.k,))
     plan_kwargs.setdefault("m_grid", (config.m,))
     plan_kwargs.setdefault("n_grid", (config.n,))
@@ -192,40 +167,9 @@ def dump_config(config: SystemConfig, plan: ExperimentPlan) -> str:
             return f"{value:.17g}"
         return str(value)
 
-    lines = [
-        f"m: {config.m}",
-        f"n: {config.n}",
-        f"k: {config.k}",
-        f"alpha: {fmt(config.alpha)}",
-        f"sigma2_w: {fmt(config.sigma2)}",
-        f"kappa: {fmt(config.kappa)}",
-        f"p_max_w: {fmt(config.p_max)}",
-        f"sar_ref: {fmt(config.sar_ref)}",
-        f"emf_max: {fmt(config.emf_max)}",
-        f"gain_bs_dbi: {fmt(config.gain_bs_dbi)}",
-        f"gain_ris_dbi: {fmt(config.gain_ris_dbi)}",
-        f"gain_user_dbi: {fmt(config.gain_user_dbi)}",
-        f"ris_position_m: {fmt(config.ris_position)}",
-        f"r_min_m: {fmt(config.r_min)}",
-        f"r_max_m: {fmt(config.r_max)}",
-        f"bandwidth_hz: {fmt(config.bandwidth_hz)}",
-        f"d_bs: {fmt(config.d_bs)}",
-        f"d_ris: {fmt(config.d_ris)}",
-        f"ris_corr_rho: {fmt(config.ris_corr_rho)}",
-        f"trials: {plan.trials}",
-        f"seed: {plan.seed}",
-        f"methods: {fmt(plan.methods)}",
-        f"k_grid: {fmt(plan.k_grid)}",
-        f"m_grid: {fmt(plan.m_grid)}",
-        f"n_grid: {fmt(plan.n_grid)}",
-        f"b_grid: {fmt(plan.b_grid)}",
-        f"quant_window: {plan.quant_window}",
-        f"quant_epsilon: {fmt(plan.quant_epsilon)}",
-        f"n_rand: {plan.n_rand}",
-        f"tol: {fmt(plan.tol)}",
-        f"max_sweeps: {plan.max_sweeps}",
-    ]
-    return "\n".join(lines) + "\n"
+    sources = {SystemConfig: config, ExperimentPlan: plan}
+    return "".join(f"{key}: {fmt(getattr(sources[owner], name))}\n"
+                   for key, (owner, name, _) in CONFIG_KEYS.items())
 
 
 CSV_COLUMNS = (
@@ -334,18 +278,15 @@ def run_trial(base_config: SystemConfig, plan: ExperimentPlan, grid_index: int,
     records = []
     for method, bits in _method_runs(plan):
         rng = np.random.default_rng(method_stream[method])
-        started = time.perf_counter()
         solution = alternating_optimize(
             config, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
             phase_options=_phase_options(plan, method, bits))
-        elapsed = time.perf_counter() - started
-        records.append(_record_from_solution(
-            solution, trial_seed, k, m, n, method, bits, elapsed, chash))
+        records.append(_record_from_solution(solution, trial_seed, k, m, n, method, bits, chash))
     return records
 
 
 def _record_from_solution(solution: Solution, trial_seed, k, m, n, method, bits,
-                          elapsed, chash) -> TrialRecord:
+                          chash) -> TrialRecord:
     minimum = solution.report.minimum
     return TrialRecord(
         seed=trial_seed, k=k, m=m, n=n, method=method, bits=bits,
@@ -353,7 +294,7 @@ def _record_from_solution(solution: Solution, trial_seed, k, m, n, method, bits,
         min_sinr_db=float(db10(minimum)) if minimum > 0 else -math.inf,
         per_user_sinrs=tuple(solution.report.per_user),
         sweeps=solution.iterations,
-        wall_time_seconds=elapsed,
+        wall_time_seconds=solution.wall_time,
         p_cap_used=tuple(solution.p_cap),
         degenerate=solution.degenerate,
         channel_hash=chash,
@@ -362,8 +303,7 @@ def _record_from_solution(solution: Solution, trial_seed, k, m, n, method, bits,
 
 
 def _run_trial_task(args):
-    base_config, plan, grid_index, kmn, trial_index = args
-    return (grid_index, trial_index), run_trial(base_config, plan, grid_index, kmn, trial_index)
+    return run_trial(*args)
 
 
 def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
@@ -377,36 +317,29 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     tasks = [(config, plan, gi, kmn, ti)
              for gi, kmn in enumerate(grid) for ti in range(plan.trials)]
 
-    results = {}
+    records = []
+
+    def collect(batches):
+        # map and pool.map both yield in task order
+        for done, batch in enumerate(batches, start=1):
+            records.extend(batch)
+            if progress:
+                progress(done, len(tasks))
+
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, records in pool.map(_run_trial_task, tasks, chunksize=1):
-                results[key] = records
-                if progress:
-                    progress(len(results), len(tasks))
+            collect(pool.map(_run_trial_task, tasks, chunksize=1))
     else:
-        for task in tasks:
-            key, records = _run_trial_task(task)
-            results[key] = records
-            if progress:
-                progress(len(results), len(tasks))
-
-    ordered = []
-    for gi in range(len(grid)):
-        for ti in range(plan.trials):
-            ordered.extend(results[(gi, ti)])
+        collect(map(_run_trial_task, tasks))
 
     if out_path is not None:
-        write_csv(ordered, out_path)
-    return ordered
+        write_csv(records, out_path)
+    return records
 
 
 def write_csv(records, out_path) -> None:
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.to_row())
+        handle.write(records_to_csv_text(records))
 
 
 def records_to_csv_text(records) -> str:

@@ -212,14 +212,24 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     return -(weights @ _tangent(phase, deriv)), result
 
 
+LSE_GRAD_TOL = 1e-6         # largest gradient entry at which a step has converged
+LSE_STEP_INIT = 1.0         # frozen-power step's Armijo search: first step,
+LSE_STEP_SHRINK = 0.5       # shrink factor per backtrack,
+LSE_MAX_BACKTRACKS = 50     # backtracks before giving up,
+LSE_ARMIJO_C = 1e-4         # sufficient-decrease constant
+
+
 @dataclass(frozen=True)
 class LseOptions:
+    """Settings of the smooth-min phase steps that callers choose.
+
+    ``max_iters`` caps the iterations; ``check_gradient`` compares the
+    analytic gradient with finite differences at the start. The fixed
+    settings are the module constants LSE_GRAD_TOL, LSE_STEP_INIT,
+    LSE_STEP_SHRINK, LSE_MAX_BACKTRACKS and LSE_ARMIJO_C.
+    """
+
     max_iters: int = 200
-    grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    step_shrink: float = 0.5
-    step_init: float = 1.0
-    max_backtracks: int = 50
     check_gradient: bool = False
 
 
@@ -282,22 +292,22 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
         weights /= weights.sum()
         grad = -(weights / rho ** 2) @ tangent
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < opts.grad_tol:
+        if grad_norm < LSE_GRAD_TOL:
             converged = True
             break
 
-        step = opts.step_init
+        step = LSE_STEP_INIT
         gsq = float(grad @ grad)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(LSE_MAX_BACKTRACKS):
             theta_new = np.mod(theta - step * grad, TWO_PI)
             rho_new = _postbf_values(cascade, chan.h2, p, sigma2, alpha, theta_new)
             if np.all(rho_new > 0):
                 obj_new = lse_objective(rho_new)
-                if obj_new <= objective - opts.armijo_c * step * gsq:
+                if obj_new <= objective - LSE_ARMIJO_C * step * gsq:
                     accepted = True
                     break
-            step *= opts.step_shrink
+            step *= LSE_STEP_SHRINK
         if not accepted:
             break
         theta, objective = theta_new, obj_new
@@ -324,7 +334,7 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     surrogate no longer stalls where the frozen-power SINRs tie. Runs
     L-BFGS-B on -log(tau) over the angles with the gradient of
     max_min_sinr_tangent, for at most ``max_iters`` iterations, down to a
-    projected gradient of ``grad_tol``. Returns the best phase seen with its
+    projected gradient of LSE_GRAD_TOL. Returns the best phase seen with its
     max-min powers, never worse than ``init``.
     """
     opts = options or LseOptions()
@@ -350,7 +360,7 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
         return -np.log(result.tau), -grad / result.tau
 
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": opts.max_iters, "gtol": opts.grad_tol})
+                                  options={"maxiter": opts.max_iters, "gtol": LSE_GRAD_TOL})
     return LseResult(
         phase=PhaseVector(theta=best["theta"], alpha=alpha),
         min_sinr=best["tau"],
@@ -414,12 +424,14 @@ def grid_phase_from_uniform(u: np.ndarray, bits: int, alpha: float) -> PhaseVect
     return PhaseVector(theta=grid[idx], alpha=alpha)
 
 
+QUANT_MAX_EVALS = 200_000   # swap heuristic's budget; the window rule stops it first
+
+
 @dataclass(frozen=True)
 class QuantOptions:
     bits: int = 3
     window: int = 50
     epsilon: float = 1e-8
-    max_evals: int = 200_000
 
 
 @dataclass
@@ -473,7 +485,7 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
             recent = trace[-opts.window - 1:-1]
             if sum(trace[-1] - t for t in recent) < opts.epsilon:
                 break
-        if len(trace) >= opts.max_evals:
+        if len(trace) >= QUANT_MAX_EVALS:
             warning = "evaluation budget exhausted before the improvement window settled"
             break
 

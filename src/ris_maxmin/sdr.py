@@ -48,18 +48,28 @@ class LiftedMatrix:
         object.__setattr__(self, "v", v)
 
 
+OUTER_ITERS = 30        # Dinkelbach level updates
+OUTER_TOL = 1e-4        # relative level gain below which the loop stops
+RESTARTS = 3            # cold inner ascents tried when a level update stalls
+INNER_ITERS = 300       # inner ascent steps per level
+STEP_INIT = 0.5         # inner step: starts here, halves on rejection,
+STEP_GROW = 1.6         # grows by STEP_GROW on acceptance,
+STEP_MAX = 10.0         # up to STEP_MAX
+INIT_SPREAD = 0.05      # nudge of the warm start off the rank-one corner
+
+
 @dataclass(frozen=True)
 class SdrOptions:
+    """Settings of sdr_dinkelbach_phase that callers choose.
+
+    ``n_rand`` is the number of Gaussian randomization draws when the best
+    lifted matrix is not rank one. The fixed settings are the module
+    constants OUTER_ITERS, OUTER_TOL, RESTARTS, INNER_ITERS, STEP_INIT,
+    STEP_GROW, STEP_MAX and INIT_SPREAD; the factor rank is
+    min(n, max(4, k + 2)).
+    """
+
     n_rand: int = 200
-    outer_iters: int = 30
-    outer_tol: float = 1e-4
-    inner_iters: int = 300
-    rank: int | None = None
-    init_spread: float = 0.05
-    step_init: float = 0.5
-    step_grow: float = 1.6
-    step_max: float = 10.0
-    restarts: int = 3
 
 
 @dataclass
@@ -120,8 +130,7 @@ def _softmin(levels: np.ndarray, mu: float) -> float:
     return float(low - mu * np.log(np.sum(np.exp(-(levels - low) / mu))))
 
 
-def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float,
-                  opts: SdrOptions):
+def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float):
     """Smoothed-min gradient ascent over the product of row spheres.
 
     Returns the iterate with the best certified SINR ratio (the Dinkelbach
@@ -132,9 +141,9 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float,
     t, levels, ratios = model.stats(factor)
     level_start = float(levels.min())
     best_ratio, best_factor = float(ratios.min()), factor
-    step = opts.step_init
+    step = STEP_INIT
     improved = False
-    for _ in range(opts.inner_iters):
+    for _ in range(INNER_ITERS):
         spread = max(levels.max() - levels.min(), 1e-12)
         mu = max(0.1 * spread, 1e-9)
         grad = model.smoothed_gradient(factor, t, levels, mu)
@@ -156,7 +165,7 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float,
         if not accepted:
             break
         factor, t, levels, ratios = candidate, t_new, levels_new, ratios_new
-        step = min(step * opts.step_grow, opts.step_max)
+        step = min(step * STEP_GROW, STEP_MAX)
         if float(ratios.min()) > best_ratio:
             best_ratio, best_factor = float(ratios.min()), factor
             improved = True
@@ -187,12 +196,12 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     scaled = QuadraticFormSet(pair_vectors=forms.pair_vectors / np.sqrt(unit),
                               noise=forms.noise / unit, powers=forms.powers)
 
-    rank = opts.rank or min(n, max(4, forms.k + 2))
+    rank = min(n, max(4, forms.k + 2))
     factor = np.zeros((n, rank), dtype=complex)
     factor[:, 0] = init.phi_vec
     if rank > 1:
         # nudge off the rank-one corner of the cone; guarded by best tracking
-        factor += opts.init_spread * alpha * (
+        factor += INIT_SPREAD * alpha * (
             rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
     factor = _normalize_rows(factor, alpha)
 
@@ -204,26 +213,26 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     warning = None
     iterations = 0
     any_progress = False
-    for iterations in range(1, opts.outer_iters + 1):
+    for iterations in range(1, OUTER_ITERS + 1):
         model = _LevelModel(scaled, lam)
-        factor, ratio, improved = _inner_ascent(model, factor, alpha, opts)
-        if (ratio - lam) / max(lam, _TINY) < opts.outer_tol:
+        factor, ratio, improved = _inner_ascent(model, factor, alpha)
+        if (ratio - lam) / max(lam, _TINY) < OUTER_TOL:
             # a warm start can sit in a corner of the feasible set; retry cold
-            for _ in range(opts.restarts):
+            for _ in range(RESTARTS):
                 fresh = _normalize_rows(
                     (rng.standard_normal((n, rank))
                      + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0), alpha)
-                cold_factor, cold_ratio, cold_improved = _inner_ascent(model, fresh, alpha, opts)
+                cold_factor, cold_ratio, cold_improved = _inner_ascent(model, fresh, alpha)
                 if cold_ratio > ratio:
                     factor, ratio, improved = cold_factor, cold_ratio, cold_improved
-                if (ratio - lam) / max(lam, _TINY) >= opts.outer_tol:
+                if (ratio - lam) / max(lam, _TINY) >= OUTER_TOL:
                     break
         any_progress = any_progress or improved
         if ratio > lam_best:
             lam_best, factor_best = ratio, factor
         gain = (ratio - lam) / max(lam, _TINY)
         lam = max(lam, ratio)
-        if gain < opts.outer_tol:
+        if gain < OUTER_TOL:
             break
     if not any_progress:
         warning = "inner ascent found no level improvement; keeping best feasible iterate"

@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from ris_maxmin import load_channel_text
@@ -77,3 +78,13 @@ def test_dump_channel_file_and_seed(config_path, tmp_path):
     assert main(["dump-channel", str(config_path), "--out", str(out), "--seed", "13"]) == 0
     chan = load_channel_text(out.read_text(encoding="utf-8"))
     assert chan.h2.shape == (2, 4)
+
+
+def test_run_solver_fault_exits_2(config_path, tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("ris_maxmin.cli.run_experiment", singular)
+    out = tmp_path / "results.csv"
+    assert main(["run", str(config_path), "--out", str(out), "--quiet"]) == 2
+    assert "runtime error: Singular matrix" in capsys.readouterr().err

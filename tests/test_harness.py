@@ -1,11 +1,13 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ris_maxmin import (CSV_COLUMNS, ConfigurationError, dump_config,
                         load_config, parse_config_text, run_experiment)
-from ris_maxmin.harness import derive_trial_seed, records_to_csv_text
+from ris_maxmin.harness import CONFIG_KEYS, derive_trial_seed, records_to_csv_text
 
 MINIMAL = """
 m: 4
@@ -27,6 +29,39 @@ k_grid: 2
 b_grid: 1, 2
 quant_window: 10
 max_sweeps: 4
+"""
+
+ALL_KEYS = """m: 5
+n: 8
+k: 3
+alpha: 0.75
+sigma2_w: 9.0949470177292824e-13
+kappa: 2.5
+p_max_w: 0.25
+sar_ref: 0.0078125, 0.00390625, 0.015625
+emf_max: 0.001953125, 0.001953125, 0.001953125
+gain_bs_dbi: 3.5
+gain_ris_dbi: 1.5
+gain_user_dbi: -2.5
+ris_position_m: 1.5, -0.5
+r_min_m: 5
+r_max_m: 40
+bandwidth_hz: 20000000
+d_bs: 0.25
+d_ris: 0.375
+ris_corr_rho: 0.5
+trials: 3
+seed: 99
+methods: sdr, quant
+k_grid: 3
+m_grid: 5, 6
+n_grid: 8, 16
+b_grid: 1, 2
+quant_window: 20
+quant_epsilon: 6.103515625e-05
+n_rand: 64
+tol: 0.0001220703125
+max_sweeps: 12
 """
 
 
@@ -67,14 +102,29 @@ def test_bad_method_rejected():
 
 
 def test_round_trip(tmp_path):
-    config, plan = parse_config_text(SMALL_PLAN)
-    text = dump_config(config, plan)
-    config2, plan2 = parse_config_text(text)
-    assert dump_config(config2, plan2) == text
-    path = tmp_path / "cfg.txt"
-    path.write_text(text, encoding="utf-8")
-    config3, plan3 = load_config(path)
-    assert dump_config(config3, plan3) == text
+    for source in (SMALL_PLAN, ALL_KEYS):
+        config, plan = parse_config_text(source)
+        text = dump_config(config, plan)
+        config2, plan2 = parse_config_text(text)
+        assert dump_config(config2, plan2) == text
+        path = tmp_path / "cfg.txt"
+        path.write_text(text, encoding="utf-8")
+        config3, plan3 = load_config(path)
+        assert dump_config(config3, plan3) == text
+    # ALL_KEYS sets every key, each away from its default, in canonical form
+    assert [line.partition(":")[0] for line in ALL_KEYS.splitlines()] == list(CONFIG_KEYS)
+    assert dump_config(*parse_config_text(ALL_KEYS)) == ALL_KEYS
+    defaults = dump_config(*parse_config_text(MINIMAL)).splitlines()
+    assert not set(ALL_KEYS.splitlines()) & set(defaults)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config format"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    config, plan = parse_config_text(block)
+    assert plan.b_grid == (1, 2, 3)
+    assert plan.quant_window == 50
 
 
 def test_trial_seed_mixing_is_stable_and_distinct():
