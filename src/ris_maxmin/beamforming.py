@@ -120,9 +120,24 @@ def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
     return Beamformer(rows=rows / norms[:, None])
 
 
+class _SinrValues(np.ndarray):
+    """Per-user SINRs that keep, as ``state``, the _MmseState they were read from."""
+
+    state = None
+
+
 def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> np.ndarray:
-    """SINRs under the optimal combiner, straight from the effective channels."""
-    return _mmse_state(g, p, sigma2).sinr
+    """SINRs under the optimal combiner, straight from the effective channels.
+
+    The array also carries the operating point's _MmseState as ``state``, so
+    a caller that goes on to need the couplings at the same (g, p), as
+    max_min_sinr_tangent does after mmse_max_min_power, does not factor it
+    again.
+    """
+    state = _mmse_state(g, p, sigma2)
+    values = state.sinr.view(_SinrValues)
+    values.state = state
+    return values
 
 
 def post_bf_sinr(chan: ChannelRealization, phase: PhaseVector, powers,

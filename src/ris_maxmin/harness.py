@@ -15,6 +15,7 @@ import hashlib
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -311,41 +312,43 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     """Execute the full plan and optionally write the CSV.
 
     Rows come out sorted by grid point, trial, then planned method order, so
-    the output does not depend on worker scheduling. Returns the records.
+    the output does not depend on worker scheduling. Each trial's rows are
+    written and flushed as the trial finishes, so a run that raises partway
+    leaves the rows of every trial before the failing one. Returns the
+    records.
     """
     grid = [(k, m, n) for k in plan.k_grid for m in plan.m_grid for n in plan.n_grid]
     tasks = [(config, plan, gi, kmn, ti)
              for gi, kmn in enumerate(grid) for ti in range(plan.trials)]
 
     records = []
-
-    def collect(batches):
+    with ExitStack() as stack:
+        handle = None
+        if out_path is not None:
+            handle = stack.enter_context(open(out_path, "w", encoding="utf-8", newline=""))
+            handle.write(records_to_csv_text([]))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            batches = pool.map(_run_trial_task, tasks, chunksize=1)
+        else:
+            batches = map(_run_trial_task, tasks)
         # map and pool.map both yield in task order
         for done, batch in enumerate(batches, start=1):
             records.extend(batch)
+            if handle is not None:
+                handle.write(records_to_csv_text(batch, header=False))
+                handle.flush()
             if progress:
                 progress(done, len(tasks))
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_run_trial_task, tasks, chunksize=1))
-    else:
-        collect(map(_run_trial_task, tasks))
-
-    if out_path is not None:
-        write_csv(records, out_path)
     return records
 
 
-def write_csv(records, out_path) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(records_to_csv_text(records))
-
-
-def records_to_csv_text(records) -> str:
+def records_to_csv_text(records, header: bool = True) -> str:
+    """CSV text of the records, after the header row unless ``header`` is false."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
+    if header:
+        writer.writerow(CSV_COLUMNS)
     for record in records:
         writer.writerow(record.to_row())
     return buf.getvalue()

@@ -152,10 +152,12 @@ def sinr_phase_derivative(chan: ChannelRealization, powers, phase: PhaseVector,
 
 
 def _derivative_terms(chan: ChannelRealization, g: np.ndarray, p: np.ndarray,
-                      phase: PhaseVector, sigma2: float):
+                      phase: PhaseVector, sigma2: float, state=None):
     """sinr_phase_derivative at the effective channels ``g``, plus the
-    couplings: couplings[j, i] = g_j^H T_j g_i."""
-    state = _mmse_state(g, p, sigma2)
+    couplings: couplings[j, i] = g_j^H T_j g_i. ``state``, when given, is
+    the _MmseState already factored at (g, p, sigma2)."""
+    if state is None:
+        state = _mmse_state(g, p, sigma2)
     weights = -p * state.couplings
     np.fill_diagonal(weights, 1.0)
     combo = weights @ chan.h2.conj()                                   # (k, n)
@@ -200,7 +202,8 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     if result.degenerate:
         return np.zeros(phase.n), result
     p = result.power.p
-    deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2)
+    # the fixed point's last step factored this very (g, p*)
+    deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2, result.mmse_state)
     k = p.size
     jac = -p[:, None] * np.abs(couplings) ** 2
     jac[np.diag_indices(k)] = np.real(np.diagonal(couplings))

@@ -68,9 +68,16 @@ def gain_table(chan: ChannelRealization, phase: PhaseVector, bf, sigma2: float) 
 
 
 class PowerControlResult(NamedTuple):
+    """Max-min powers, the minimum SINR they achieve and a degeneracy flag.
+
+    ``mmse_state`` is the MMSE factorization at the returned powers when
+    mmse_max_min_power computed them (beamforming._MmseState), else None.
+    """
+
     power: PowerAllocation
     tau: float
     degenerate: bool
+    mmse_state: object = None
 
 
 def _interference(f: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -159,15 +166,17 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
 
     p = cap.copy() if start is None else np.asarray(start, dtype=float)
     p = np.minimum(cap, p / np.max(p / cap))
+    state = None
     for _ in range(FIXED_POINT_MAX_ITER):
-        sinr = post_bf_sinr_values(g, p, sigma2)
-        interference = p / sinr
+        current = post_bf_sinr_values(g, p, sigma2).state
+        interference = p / current.sinr
         p_new = np.minimum(cap, interference / np.max(interference / cap))
         if np.max(np.abs(p_new - p) / cap) <= MMSE_FIXED_POINT_RTOL:
+            state = current            # factored at the powers returned
             break
         p = p_new
     # tau is what the returned powers achieve, so it never overstates the optimum
-    return PowerControlResult(PowerAllocation(p), float(sinr.min()), False)
+    return PowerControlResult(PowerAllocation(p), float(current.sinr.min()), False, state)
 
 
 def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:

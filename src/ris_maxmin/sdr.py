@@ -9,15 +9,27 @@ diag(V) = alpha^2 and V >= 0. For the current level lam the inner problem
 
 is climbed in the factorization V = L L^H with alpha-norm rows, which makes
 both constraints hold exactly by construction: a smoothed-min gradient
-ascent over the product of row spheres with backtracking line search. The
-level is then updated to the smallest SINR ratio at the best iterate and
-the loop repeats until it stops improving. A rank-one solution is read off
-the top eigenvector when V is essentially rank one and by Gaussian
+ascent over the product of row spheres with backtracking line search.
+
+C_k(lam) is affine in lam, so one level model serves the whole call: a
+single pass over the pair gains |b_ki^H L|^2 gives every user's signal
+s_k = p_k <R_kk, V> and denominator d_k = sum_{i != k} p_i <R_ki, V> +
+noise_k, and from them the levels s_k - lam*d_k and the SINR ratios
+s_k / d_k. An inner ascent stops at INNER_ITERS steps, or earlier once its
+best ratio has not risen by more than a relative STOP_REL over STOP_WINDOW
+consecutive accepted steps: the level update below acts only on ratio gains
+of at least OUTER_TOL, a hundred times STOP_REL.
+
+The level is then updated to the smallest SINR ratio at the best iterate
+and the loop repeats until it stops improving. A rank-one solution is read
+off the top eigenvector when V is essentially rank one and by Gaussian
 randomization otherwise; the returned phase never scores below the
 incoming one.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +62,10 @@ class LiftedMatrix:
 
 OUTER_ITERS = 30        # Dinkelbach level updates
 OUTER_TOL = 1e-4        # relative level gain below which the loop stops
+STOP_REL = 1e-6         # an inner ascent stops once its best ratio has risen by no
+STOP_WINDOW = 30        # more than STOP_REL (relative) over STOP_WINDOW accepted steps
 RESTARTS = 3            # cold inner ascents tried when a level update stalls
-INNER_ITERS = 300       # inner ascent steps per level
+INNER_ITERS = 300       # inner ascent steps per level, at most
 STEP_INIT = 0.5         # inner step: starts here, halves on rejection,
 STEP_GROW = 1.6         # grows by STEP_GROW on acceptance,
 STEP_MAX = 10.0         # up to STEP_MAX
@@ -64,9 +78,9 @@ class SdrOptions:
 
     ``n_rand`` is the number of Gaussian randomization draws when the best
     lifted matrix is not rank one. The fixed settings are the module
-    constants OUTER_ITERS, OUTER_TOL, RESTARTS, INNER_ITERS, STEP_INIT,
-    STEP_GROW, STEP_MAX and INIT_SPREAD; the factor rank is
-    min(n, max(4, k + 2)).
+    constants OUTER_ITERS, OUTER_TOL, STOP_REL, STOP_WINDOW, RESTARTS,
+    INNER_ITERS, STEP_INIT, STEP_GROW, STEP_MAX and INIT_SPREAD; the factor
+    rank is min(n, max(4, k + 2)).
     """
 
     n_rand: int = 200
@@ -74,103 +88,161 @@ class SdrOptions:
 
 @dataclass
 class SdrResult:
+    """Outcome of sdr_dinkelbach_phase.
+
+    ``relaxed_value`` is the largest minimum SINR ratio the run certified on
+    a feasible point of the relaxation (a lifted iterate, a rounded
+    candidate or the incoming phase). It is a lower value of the relaxation,
+    not an upper bound on its optimum; ``min_sinr`` never exceeds it.
+
+    Counters, summed over the call: ``inner_steps`` accepted ascent steps,
+    ``backtracks`` step halvings in the line search, ``cold_restarts`` cold
+    ascents run after a stalled level update, and ``early_stops`` ascents
+    ended by the STOP_REL/STOP_WINDOW rule rather than at INNER_ITERS or a
+    failed line search.
+    """
+
     phase: PhaseVector
     min_sinr: float
     relaxed_value: float
     lifted: LiftedMatrix
     iterations: int
+    inner_steps: int
+    backtracks: int
+    cold_restarts: int
+    early_stops: int
     warning: str | None = None
 
 
-class _LevelModel:
-    """Levels and SINR ratios of the factorized lifted matrix at one lam."""
+def _row_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a C-contiguous complex matrix."""
+    real = a.view(float)
+    return np.einsum("ij,ij->i", real, real)
 
-    def __init__(self, forms: QuadraticFormSet, lam: float):
+
+class _LevelModel:
+    """Signals and denominators of the SINR ratios of a factorized lifted matrix.
+
+    The level of user k at lam is signal_k - lam * denominator_k and its
+    SINR ratio is signal_k / denominator_k, so one model serves every lam.
+    """
+
+    def __init__(self, forms: QuadraticFormSet):
         k, n = forms.k, forms.n
         self.k = k
-        self.pair_flat = forms.pair_vectors.reshape(k * k, n)
-        self.pair_conj = self.pair_flat.conj()
-        self.powers = forms.powers
+        pair_flat = forms.pair_vectors.reshape(k * k, n)
+        self.pair_conj = pair_flat.conj()
+        self.pair_t = np.ascontiguousarray(pair_flat.T)
         self.noise = forms.noise
-        coef = np.tile(-lam * forms.powers, (k, 1))
-        np.fill_diagonal(coef, forms.powers)
-        self.coef = coef
-        self.offsets = lam * forms.noise
+        signal = np.diag(forms.powers)
+        interference = np.tile(forms.powers, (k, 1)) - signal
+        self.signal_coef = signal.ravel()
+        self.interference_coef = interference.ravel()
+        # flat pair gains -> (signal_1..k, interference_1..k) in one product
+        split = np.zeros((k * k, 2 * k))
+        rows = np.arange(k * k)
+        split[rows, rows // k] = self.signal_coef
+        split[rows, k + rows // k] = self.interference_coef
+        self.split = split
+
+    def coef(self, lam: float) -> np.ndarray:
+        """Flat (k*k,) weight of every pair gain in the levels at lam."""
+        return self.signal_coef - lam * self.interference_coef
 
     def stats(self, factor: np.ndarray):
-        """Projections T = b_ki^H L, pair gains, levels, and SINR ratios."""
-        k = self.k
+        """Projections T = b_ki^H L, signals and denominators."""
         t = self.pair_conj @ factor
-        gains = (np.abs(t) ** 2).sum(axis=1).reshape(k, k)
-        levels = (self.coef * gains).sum(axis=1) - self.offsets
-        signal = self.powers * np.diagonal(gains)
-        ratios = signal / (gains @ self.powers - signal + self.noise)
-        return t, levels, ratios
+        parts = _row_sq_norms(t) @ self.split
+        return t, parts[:self.k], parts[self.k:] + self.noise
 
-    def smoothed_gradient(self, factor, t, levels, mu):
-        """Wirtinger gradient of the softmin of the levels w.r.t. conj(L)."""
-        weights = np.exp(-(levels - levels.min()) / mu)
-        weights /= weights.sum()
-        folded = (weights[:, None] * self.coef).reshape(-1)
-        return self.pair_flat.T @ (folded[:, None] * t)
+    def gradient(self, t: np.ndarray, weights: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Wirtinger gradient w.r.t. conj(L) of the weights-averaged levels."""
+        folded = np.repeat(weights, self.k) * coef
+        return self.pair_t @ (folded[:, None] * t)
 
 
 def _normalize_rows(factor: np.ndarray, alpha: float) -> np.ndarray:
-    norms = np.linalg.norm(factor, axis=1, keepdims=True)
-    dead = norms[:, 0] <= 0.0
-    if np.any(dead):
+    sq = _row_sq_norms(factor)
+    if sq.min() <= 0.0:
+        dead = sq <= 0.0
         factor = factor.copy()
         factor[dead, 0] = 1.0
-        norms = np.linalg.norm(factor, axis=1, keepdims=True)
-    return factor * (alpha / norms)
+        sq[dead] = 1.0
+    return factor * (alpha / np.sqrt(sq))[:, None]
 
 
 def _softmin(levels: np.ndarray, mu: float) -> float:
     low = levels.min()
-    return float(low - mu * np.log(np.sum(np.exp(-(levels - low) / mu))))
+    return float(low - mu * math.log(np.exp((low - levels) / mu).sum()))
 
 
-def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float):
+class _Ascent(NamedTuple):
+    factor: np.ndarray
+    ratio: float
+    improved: bool
+    steps: int
+    backtracks: int
+    early_stop: bool
+
+
+def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: float) -> _Ascent:
     """Smoothed-min gradient ascent over the product of row spheres.
 
     Returns the iterate with the best certified SINR ratio (the Dinkelbach
-    update quantity), the ratio itself, and whether the run improved the
-    starting level.
+    update quantity), the ratio itself, whether the run improved the
+    starting level, and the run's counters.
     """
     alpha2 = alpha ** 2
-    t, levels, ratios = model.stats(factor)
+    coef = model.coef(lam)
+    t, signal, denom = model.stats(factor)
+    levels = signal - lam * denom
     level_start = float(levels.min())
-    best_ratio, best_factor = float(ratios.min()), factor
+    best_ratio, best_factor = float((signal / denom).min()), factor
+    anchor, flat = best_ratio, 0
     step = STEP_INIT
     improved = False
+    steps = backtracks = 0
+    early_stop = False
     for _ in range(INNER_ITERS):
-        spread = max(levels.max() - levels.min(), 1e-12)
-        mu = max(0.1 * spread, 1e-9)
-        grad = model.smoothed_gradient(factor, t, levels, mu)
-        radial = np.real(np.sum(grad * factor.conj(), axis=1)) / alpha2
-        grad = grad - radial[:, None] * factor
-        norm = np.linalg.norm(grad)
+        low = levels.min()
+        mu = max(0.1 * (levels.max() - low), 1e-9)
+        weights = np.exp((low - levels) / mu)
+        total = weights.sum()
+        current = float(low - mu * math.log(total))
+        grad = model.gradient(t, weights / total, coef)
+        radial = np.einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
+        grad -= radial[:, None] * factor
+        norm = math.sqrt(_row_sq_norms(grad).sum())
         if norm < 1e-14:
             break
-        grad /= norm
-        current = _softmin(levels, mu)
         accepted = False
         for _ in range(30):
-            candidate = _normalize_rows(factor + step * grad, alpha)
-            t_new, levels_new, ratios_new = model.stats(candidate)
+            candidate = _normalize_rows(factor + (step / norm) * grad, alpha)
+            t_new, signal_new, denom_new = model.stats(candidate)
+            levels_new = signal_new - lam * denom_new
             if _softmin(levels_new, mu) > current + 1e-14:
                 accepted = True
                 break
             step *= 0.5
+            backtracks += 1
         if not accepted:
             break
-        factor, t, levels, ratios = candidate, t_new, levels_new, ratios_new
+        factor, t, levels = candidate, t_new, levels_new
+        steps += 1
         step = min(step * STEP_GROW, STEP_MAX)
-        if float(ratios.min()) > best_ratio:
-            best_ratio, best_factor = float(ratios.min()), factor
+        ratio = float((signal_new / denom_new).min())
+        if ratio > best_ratio:
+            best_ratio, best_factor = ratio, factor
             improved = True
+        if best_ratio > anchor * (1.0 + STOP_REL):
+            anchor, flat = best_ratio, 0
+        else:
+            flat += 1
+            if flat >= STOP_WINDOW:
+                early_stop = True
+                break
     improved = improved or levels.min() > level_start + 1e-12 * max(abs(level_start), 1.0)
-    return best_factor, best_ratio, improved
+    return _Ascent(best_factor, best_ratio, improved, steps, backtracks, early_stop)
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -184,8 +256,8 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
 
     ``relaxed_value`` is the best certified value of the relaxation seen
     during the run (every lifted iterate and every rounded candidate is a
-    feasible point of the relaxed problem), so the returned phase's minimum
-    SINR never exceeds it.
+    feasible point of the relaxed problem), so it is a lower value of the
+    relaxation and the returned phase's minimum SINR never exceeds it.
     """
     opts = options or SdrOptions()
     n = init.n
@@ -195,6 +267,7 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
                float((forms.powers * np.abs(forms.vectors).sum(axis=1) ** 2).max()), _TINY)
     scaled = QuadraticFormSet(pair_vectors=forms.pair_vectors / np.sqrt(unit),
                               noise=forms.noise / unit, powers=forms.powers)
+    model = _LevelModel(scaled)
 
     rank = min(n, max(4, forms.k + 2))
     factor = np.zeros((n, rank), dtype=complex)
@@ -213,21 +286,29 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     warning = None
     iterations = 0
     any_progress = False
+    inner_steps = backtracks = cold_restarts = early_stops = 0
     for iterations in range(1, OUTER_ITERS + 1):
-        model = _LevelModel(scaled, lam)
-        factor, ratio, improved = _inner_ascent(model, factor, alpha)
-        if (ratio - lam) / max(lam, _TINY) < OUTER_TOL:
+        best = _inner_ascent(model, factor, alpha, lam)
+        runs = [best]
+        if (best.ratio - lam) / max(lam, _TINY) < OUTER_TOL:
             # a warm start can sit in a corner of the feasible set; retry cold
             for _ in range(RESTARTS):
                 fresh = _normalize_rows(
                     (rng.standard_normal((n, rank))
                      + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0), alpha)
-                cold_factor, cold_ratio, cold_improved = _inner_ascent(model, fresh, alpha)
-                if cold_ratio > ratio:
-                    factor, ratio, improved = cold_factor, cold_ratio, cold_improved
-                if (ratio - lam) / max(lam, _TINY) >= OUTER_TOL:
+                cold = _inner_ascent(model, fresh, alpha, lam)
+                runs.append(cold)
+                if cold.ratio > best.ratio:
+                    best = cold
+                if (best.ratio - lam) / max(lam, _TINY) >= OUTER_TOL:
                     break
-        any_progress = any_progress or improved
+        cold_restarts += len(runs) - 1
+        for run in runs:
+            inner_steps += run.steps
+            backtracks += run.backtracks
+            early_stops += run.early_stop
+        factor, ratio = best.factor, best.ratio
+        any_progress = any_progress or best.improved
         if ratio > lam_best:
             lam_best, factor_best = ratio, factor
         gain = (ratio - lam) / max(lam, _TINY)
@@ -264,5 +345,9 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
         relaxed_value=max(lam_best, float(scores[best_idx]), init_value),
         lifted=LiftedMatrix(v=v_best, alpha=alpha),
         iterations=iterations,
+        inner_steps=inner_steps,
+        backtracks=backtracks,
+        cold_restarts=cold_restarts,
+        early_stops=early_stops,
         warning=warning,
     )

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from ris_maxmin import load_channel_text
+from ris_maxmin import CSV_COLUMNS, harness, load_channel_text
 from ris_maxmin.cli import main
 
 CONFIG = """
@@ -88,3 +88,25 @@ def test_run_solver_fault_exits_2(config_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", str(config_path), "--out", str(out), "--quiet"]) == 2
     assert "runtime error: Singular matrix" in capsys.readouterr().err
+
+
+def test_run_keeps_the_rows_of_finished_trials(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "five.cfg"
+    config.write_text(CONFIG.replace("trials: 2", "trials: 5"), encoding="utf-8")
+    original = harness.alternating_optimize
+    calls = []
+
+    def fifth_call_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "alternating_optimize", fifth_call_raises)
+    out = tmp_path / "results.csv"
+    assert main(["run", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "runtime error: Singular matrix" in capsys.readouterr().err
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(CSV_COLUMNS)
+    assert [row[4] for row in rows[1:]] == ["random-baseline"] * 4

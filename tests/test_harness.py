@@ -203,3 +203,11 @@ def test_scaled_config_rejects_mismatched_arrays():
     config, plan = parse_config_text(text)
     with pytest.raises(ConfigurationError, match="per-user"):
         run_experiment(config, plan, out_path=None, workers=1)
+
+
+def test_streamed_csv_is_the_records_text(tmp_path):
+    config, plan = parse_config_text(SMALL_PLAN)
+    for workers in (1, 2):
+        out = tmp_path / f"streamed-{workers}.csv"
+        records = run_experiment(config, plan, out_path=out, workers=workers)
+        assert out.read_bytes().decode("utf-8") == records_to_csv_text(records)

@@ -21,8 +21,9 @@ import ris_maxmin.beamforming as beamforming
 import ris_maxmin.power as power
 from ris_maxmin import (ChannelRealization, LseOptions, PhaseVector,
                         SystemConfig, alternating_optimize, effective_channel,
-                        effective_power_cap, mmse_max_min_power,
-                        optimal_beamformers, sample_channel)
+                        effective_power_cap, max_min_sinr_tangent,
+                        mmse_max_min_power, optimal_beamformers,
+                        sample_channel)
 from ris_maxmin.beamforming import post_bf_sinr_values
 from ris_maxmin.phase import _derivative_terms
 
@@ -171,6 +172,34 @@ def test_mmse_fixed_point_stops_well_before_the_budget(monkeypatch):
         steps.append(len(calls))
         assert not (cold.degenerate or warm.degenerate)
     assert max(steps) <= 50, steps
+
+
+def test_max_min_tangent_reuses_the_fixed_point_factorization(monkeypatch):
+    """The tangent factors nothing beyond the fixed point's own steps."""
+    cfg = SystemConfig(m=12, n=24, k=6)
+    rng = np.random.default_rng(20240818)
+    cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
+    steps, factorizations = [], []
+    original_values, original_factor = power.post_bf_sinr_values, beamforming.sla.cho_factor
+
+    def counted_values(g, p, sigma2):
+        steps.append(1)
+        return original_values(g, p, sigma2)
+
+    def counted_factor(*args, **kwargs):
+        factorizations.append(1)
+        return original_factor(*args, **kwargs)
+
+    monkeypatch.setattr(power, "post_bf_sinr_values", counted_values)
+    monkeypatch.setattr(beamforming.sla, "cho_factor", counted_factor)
+    for _ in range(4):
+        chan = sample_channel(cfg, rng)
+        phase = PhaseVector.random(cfg.n, cfg.alpha, rng)
+        steps.clear()
+        factorizations.clear()
+        _, result = max_min_sinr_tangent(chan, phase, cap, cfg.sigma2)
+        assert result.mmse_state is not None
+        assert len(factorizations) == len(steps) > 0
 
 
 def test_unconverged_lse_step_is_reported():

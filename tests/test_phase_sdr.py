@@ -3,6 +3,7 @@ import pytest
 
 from ris_maxmin import (ConfigurationError, LiftedMatrix,
                         build_quadratic_forms, sdr_dinkelbach_phase)
+from ris_maxmin.sdr import INNER_ITERS, _LevelModel
 
 from conftest import random_beamformer, random_phase, synth_channel
 
@@ -74,3 +75,52 @@ def test_two_element_grid_oracle(rng):
         out = sdr_dinkelbach_phase(forms, 1.0, random_phase(local, 2), local)
         worst = min(worst, out.min_sinr / opt)
     assert worst >= 0.95
+
+
+def coef_matrix_levels(forms, lam, factor, weights):
+    """Levels, ratios and the softmin gradient from the per-lam coefficient matrix
+    C[k, i] = p_k if i == k else -lam * p_i."""
+    k, n = forms.k, forms.n
+    pair_flat = forms.pair_vectors.reshape(k * k, n)
+    t = pair_flat.conj() @ factor
+    coef = np.tile(-lam * forms.powers, (k, 1))
+    np.fill_diagonal(coef, forms.powers)
+    gains = (np.abs(t) ** 2).sum(axis=1).reshape(k, k)
+    levels = (coef * gains).sum(axis=1) - lam * forms.noise
+    signal = forms.powers * np.diagonal(gains)
+    ratios = signal / (gains @ forms.powers - signal + forms.noise)
+    gradient = pair_flat.T @ ((weights[:, None] * coef).reshape(-1)[:, None] * t)
+    return levels, ratios, gradient, signal + lam * (gains @ forms.powers - signal + forms.noise)
+
+
+def test_one_level_model_matches_the_coef_matrix_at_every_lam(rng):
+    for m, n, k in ((3, 4, 3), (12, 24, 6), (4, 6, 2)):
+        forms = build_forms(rng, m, n, k, sigma2=rng.uniform(0.1, 2.0))
+        model = _LevelModel(forms)
+        for _ in range(3):
+            factor = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+            weights = rng.dirichlet(np.ones(k))
+            t, signal, denom = model.stats(factor)
+            for lam in (0.0, 0.3, 1.0, 10.0):
+                levels, ratios, gradient, scale = coef_matrix_levels(forms, lam, factor, weights)
+                assert np.all(np.abs(signal - lam * denom - levels) <= 1e-12 * scale)
+                assert np.all(np.abs(signal / denom - ratios) <= 1e-12 * ratios)
+                ours = model.gradient(t, weights, model.coef(lam))
+                assert np.abs(ours - gradient).max() <= 1e-12 * np.abs(gradient).max()
+
+
+def test_inner_ascents_stop_on_evidence():
+    """At k=6, n=24 most ascents end on the stop rule, well before INNER_ITERS."""
+    local = np.random.default_rng(20240817)
+    forms = build_forms(local, 12, 24, 6)
+    init = random_phase(local, 24, alpha=0.9)
+    before = forms.min_sinr(init.phi_vec)
+    out = sdr_dinkelbach_phase(forms, 0.9, init, local)
+    ascents = out.iterations + out.cold_restarts
+    assert out.early_stops > 0
+    assert out.inner_steps < INNER_ITERS * ascents
+    assert out.min_sinr >= before - 1e-12
+    assert out.min_sinr <= out.relaxed_value + 1e-6
+    v = out.lifted.v
+    assert np.abs(np.diagonal(v).real - 0.81).max() < 1e-8
+    assert np.linalg.eigvalsh(v).min() > -1e-8
