@@ -15,12 +15,11 @@ SINR. The diagonal v[k,k] satisfies v[k,k]^H u = b_k^H g_k exactly.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .beamforming import _mmse_state, post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
                    _bf_matrix, _power_array, effective_channel)
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError
 from .power import mmse_max_min_power
 
 
@@ -226,14 +225,12 @@ LSE_ARMIJO_C = 1e-4         # sufficient-decrease constant
 class LseOptions:
     """Settings of the smooth-min phase steps that callers choose.
 
-    ``max_iters`` caps the iterations; ``check_gradient`` compares the
-    analytic gradient with finite differences at the start. The fixed
-    settings are the module constants LSE_GRAD_TOL, LSE_STEP_INIT,
-    LSE_STEP_SHRINK, LSE_MAX_BACKTRACKS and LSE_ARMIJO_C.
+    ``max_iters`` caps the iterations. The fixed settings are the module
+    constants LSE_GRAD_TOL, LSE_STEP_INIT, LSE_STEP_SHRINK,
+    LSE_MAX_BACKTRACKS and LSE_ARMIJO_C.
     """
 
     max_iters: int = 200
-    check_gradient: bool = False
 
 
 @dataclass
@@ -288,8 +285,6 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
     for iterations in range(1, opts.max_iters + 1):
         phase = PhaseVector(theta=theta, alpha=alpha)
         tangent, rho = sinr_phase_tangent(chan, p, phase, sigma2)
-        if opts.check_gradient and iterations == 1:
-            _assert_matches_fd(tangent, finite_difference_tangent(chan, p, phase, sigma2))
         inv = 1.0 / rho
         weights = np.exp(inv - inv.max())
         weights /= weights.sum()
@@ -340,6 +335,8 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     projected gradient of LSE_GRAD_TOL. Returns the best phase seen with its
     max-min powers, never worse than ``init``.
     """
+    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only this step needs
+
     opts = options or LseOptions()
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     alpha = init.alpha
@@ -347,9 +344,6 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     if start.degenerate:
         return LseResult(init, start.tau, 0, False, np.inf,
                          warning="degenerate SINR at the initial phase", power=start.power)
-    if opts.check_gradient:
-        grad, _ = max_min_sinr_tangent(chan, init, cap, sigma2, start=start.power.p)
-        _assert_matches_fd(grad, _max_min_fd(chan, init, cap, sigma2, start.power.p))
 
     best = {"tau": start.tau, "theta": init.theta, "power": start.power}
 
@@ -374,40 +368,22 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     )
 
 
-def _central_differences(values, theta: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of values(theta) over each angle; the last axis runs over angles."""
-    columns = []
-    for n in range(theta.size):
-        hi = theta.copy()
-        hi[n] += step
-        lo = theta.copy()
-        lo[n] -= step
-        columns.append((values(hi) - values(lo)) / (2.0 * step))
-    return np.stack(columns, axis=-1)
-
-
 def finite_difference_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
                               sigma2: float, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of the post-combining SINRs over each angle."""
     p = _power_array(powers)
     cascade = chan.cascade_matrix()
-    return _central_differences(
-        lambda theta: _postbf_values(cascade, chan.h2, p, sigma2, phase.alpha, theta),
-        phase.theta, step)
+    def values(theta):
+        return _postbf_values(cascade, chan.h2, p, sigma2, phase.alpha, theta)
 
-
-def _max_min_fd(chan, phase, cap, sigma2, start, step=1e-6):
-    def tau(theta):
-        g = effective_channel(chan, PhaseVector(theta=theta, alpha=phase.alpha))
-        return mmse_max_min_power(g, cap, sigma2, start).tau
-    return _central_differences(tau, phase.theta, step)
-
-
-def _assert_matches_fd(analytic, fd, rtol=1e-5):
-    scale = max(np.abs(fd).max(), 1e-12)
-    err = np.abs(analytic - fd)
-    if np.any(err > rtol * np.maximum(np.abs(fd), 1e-4 * scale)):
-        raise NumericError("analytic phase gradient disagrees with finite differences")
+    columns = []
+    for n in range(phase.n):
+        hi = phase.theta.copy()
+        hi[n] += step
+        lo = phase.theta.copy()
+        lo[n] -= step
+        columns.append((values(hi) - values(lo)) / (2.0 * step))
+    return np.stack(columns, axis=-1)
 
 
 def phase_grid(bits: int) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Max-min SINR power control under per-user caps, plus the exposure cap fold.
 
-The max-min problem (maximize the smallest SINR subject to 0 <= p_k <=
-cap_k) is solved by bisection on the target SINR tau. Feasibility of a
-candidate tau is decided by iterating the standard interference mapping
+For fixed combiners, user k's SINR target tau reads p >= tau * (M p + b)
+with M = (F - diag f) / diag f (row k divided by its direct gain f[k, k])
+and b = n / diag f. The max-min problem (maximize the smallest SINR subject
+to 0 <= p_k <= cap_k) has the Perron-Frobenius answer
 
-    p_k <- min(cap_k, tau * (sum_{i != k} p_i f[k, i] + n_k) / f[k, k])
+    tau* = 1 / max_j rho(M + b e_j^T / cap_j),
 
-from p = 0 to its fixed point: the iteration is monotone nondecreasing, and
-tau is feasible exactly when the fixed point meets every SINR target within
-the caps. This solves the same optimization a geometric-programming solver
-would, without the dependency.
+where rho is the spectral radius and j runs over the candidate binding
+users, and the least powers that meet tau* are p = (I - tau* M)^{-1} tau* b.
+This solves the same optimization a geometric-programming solver would,
+without the dependency and without iterating.
 
 ``mmse_max_min_power`` solves the same problem when every user keeps its
 MMSE combiner for whatever powers are chosen. Then user k's interference
@@ -32,8 +33,6 @@ from .core import ChannelRealization, PhaseVector, PowerAllocation, _bf_matrix, 
 from .errors import ConfigurationError, DomainError, NumericError
 
 FIXED_POINT_MAX_ITER = 500
-FIXED_POINT_ATOL = 1e-10
-BISECTION_RTOL = 1e-8
 MMSE_FIXED_POINT_RTOL = 1e-14
 
 
@@ -80,39 +79,16 @@ class PowerControlResult(NamedTuple):
     mmse_state: object = None
 
 
-def _interference(f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return f @ p - np.diagonal(f) * p
-
-
-def _fixed_point(f: np.ndarray, n: np.ndarray, cap: np.ndarray, tau: float):
-    """Run the capped interference iteration from p = 0.
-
-    Returns (p, feasible). Non-convergence within the iteration budget is
-    treated as infeasible, which errs on the conservative side.
-    """
-    diag = np.diagonal(f)
-    p = np.zeros_like(cap)
-    for _ in range(FIXED_POINT_MAX_ITER):
-        required = tau * (_interference(f, p) + n) / diag
-        p_new = np.minimum(cap, required)
-        if np.max(np.abs(p_new - p)) <= FIXED_POINT_ATOL:
-            p = p_new
-            required = tau * (_interference(f, p) + n) / diag
-            return p, bool(np.all(required <= cap * (1.0 + 1e-9)))
-        p = p_new
-    return p, False
-
-
 def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     """Globally optimal max-min SINR power allocation under per-user caps.
 
     Returns the optimizing powers, the achieved minimum SINR, and a
     degeneracy flag. When several power vectors achieve the optimum (users
     decoupled enough that some have headroom), the minimal-power one is
-    returned: it comes straight out of the fixed-point iteration and emits
-    the least exposure. A user with zero direct gain makes the problem
-    degenerate: the caps are returned with tau = 0 so an enclosing
-    alternating loop can continue.
+    returned: every user meets tau* with equality, so it emits the least
+    exposure. A user with zero direct gain makes the problem degenerate:
+    the caps are returned with tau = 0 so an enclosing alternating loop can
+    continue.
     """
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     if cap.shape != gains.n.shape:
@@ -126,21 +102,20 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     if np.any(diag <= 0.0):
         return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
 
-    tau_hi = float(np.min(cap * diag / gains.n))
-    p_best, feasible = _fixed_point(gains.f, gains.n, cap, tau_hi)
-    if not feasible:
-        lo, hi = 0.0, tau_hi
-        p_best = np.zeros_like(cap)
-        while hi - lo > BISECTION_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            p_mid, ok = _fixed_point(gains.f, gains.n, cap, mid)
-            if ok:
-                lo, p_best = mid, p_mid
-            else:
-                hi = mid
-
-    sinr = diag * p_best / (_interference(gains.f, p_best) + gains.n)
-    return PowerControlResult(PowerAllocation(p_best), float(sinr.min()), False)
+    eye = np.eye(gains.k)
+    coupling = (gains.f - np.diag(diag)) / diag[:, None]
+    noise = gains.n / diag
+    # candidates[j] = M + b e_j^T / cap_j; all are nonnegative, so the largest
+    # eigenvalue modulus is the Perron root
+    candidates = coupling + noise[:, None] * (eye / cap[:, None])[:, None, :]
+    tau = 1.0 / np.max(np.abs(np.linalg.eigvals(candidates)))
+    # tau * rho(M) < 1, so I - tau*M is a nonsingular M-matrix; the min only
+    # trims the binding user's rounding above its cap
+    p = np.minimum(cap, np.linalg.solve(eye - tau * coupling, tau * noise))
+    # sum the interference without the direct term: f @ p - diag * p would
+    # cancel the digits of a high-SINR user's interference
+    sinr = p / (coupling @ p + noise)
+    return PowerControlResult(PowerAllocation(p), float(sinr.min()), False)
 
 
 def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> PowerControlResult:
@@ -166,17 +141,17 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
 
     p = cap.copy() if start is None else np.asarray(start, dtype=float)
     p = np.minimum(cap, p / np.max(p / cap))
-    state = None
     for _ in range(FIXED_POINT_MAX_ITER):
         current = post_bf_sinr_values(g, p, sigma2).state
         interference = p / current.sinr
         p_new = np.minimum(cap, interference / np.max(interference / cap))
         if np.max(np.abs(p_new - p) / cap) <= MMSE_FIXED_POINT_RTOL:
-            state = current            # factored at the powers returned
             break
-        p = p_new
+        p_seen, p = p, p_new
+    else:
+        p = p_seen                     # out of budget: keep the powers current was factored at
     # tau is what the returned powers achieve, so it never overstates the optimum
-    return PowerControlResult(PowerAllocation(p), float(current.sinr.min()), False, state)
+    return PowerControlResult(PowerAllocation(p), float(current.sinr.min()), False, current)
 
 
 def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:

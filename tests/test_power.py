@@ -3,11 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import (DomainError, GainTable, effective_power_cap,
-                        gain_table, max_min_power, mmse_max_min_power)
-from ris_maxmin.power import _fixed_point
+from ris_maxmin import (DomainError, GainTable, PhaseVector, SystemConfig,
+                        effective_channel, effective_power_cap, gain_table,
+                        max_min_power, mmse_max_min_power, post_bf_sinr,
+                        sample_channel)
+from ris_maxmin import power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
+
+ORACLE_MAX_ITER = 20000
+ORACLE_ATOL = 1e-10
+
+
+def _fixed_point(f, n, cap, tau):
+    """Feasibility oracle: run the capped interference iteration from p = 0.
+
+    p_k <- min(cap_k, tau * (sum_{i != k} p_i f[k, i] + n_k) / f[k, k]) is
+    monotone nondecreasing, and tau is feasible exactly when its fixed point
+    meets every SINR target within the caps. Returns (p, feasible);
+    non-convergence within ORACLE_MAX_ITER steps counts as infeasible.
+    """
+    diag = np.diagonal(f)
+    # the interference summed without the direct term, whose digits would
+    # otherwise cancel at high SINR and keep the iterates jittering
+    cross = f - np.diag(diag)
+    p = np.zeros_like(cap)
+    for _ in range(ORACLE_MAX_ITER):
+        p_new = np.minimum(cap, tau * (cross @ p + n) / diag)
+        if np.max(np.abs(p_new - p)) <= ORACLE_ATOL:
+            required = tau * (cross @ p_new + n) / diag
+            return p_new, bool(np.all(required <= cap * (1.0 + 1e-9)))
+        p = p_new
+    return p, False
 
 
 def grid_search_two_users(f, n, caps, points=2000):
@@ -185,3 +212,55 @@ def test_fixed_point_infeasible_tau():
     caps = np.array([1.0, 1.0])
     p, ok = _fixed_point(f, n, caps, tau=10.0)
     assert not ok
+
+
+@st.composite
+def gain_problems(draw):
+    """Gain tables with k = 1..6, noise from 1e-8 to 1 and unequal caps.
+
+    Off-diagonal gains are zero (decoupled users) or scale with the noise,
+    so a small noise level means a very high SINR, and the interference stays
+    within a few noise powers so the oracle's iteration converges in budget.
+    """
+    k = draw(st.integers(1, 6))
+    level = 10.0 ** draw(st.floats(-8.0, 0.0))
+    direct = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+    noise = level * np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+    coupling = 0.0 if draw(st.booleans()) else level * draw(st.floats(0.0, 4.0))
+    cross = draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    f = coupling * np.array(cross).reshape(k, k)
+    f[np.diag_indices(k)] = direct
+    cap = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return f, noise, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(gain_problems())
+def test_closed_form_is_the_feasibility_boundary(problem):
+    f, noise, cap = problem
+    result = max_min_power(GainTable(f=f, n=noise), cap)
+    tau, p = result.tau, result.power.p
+    assert not result.degenerate
+    # the oracle brackets tau within 1e-6 on either side
+    assert _fixed_point(f, noise, cap, tau * (1.0 - 1e-6))[1]
+    assert not _fixed_point(f, noise, cap, tau * (1.0 + 1e-6))[1]
+    assert np.all(p <= cap)
+    assert np.max(p / cap) == pytest.approx(1.0, rel=1e-9)
+    diag = np.diagonal(f)
+    sinr = diag * p / ((f - np.diag(diag)) @ p + noise)
+    assert np.all(sinr >= tau * (1.0 - 1e-12))
+    # the least powers that reach tau meet it with equality at every user
+    assert np.allclose(sinr, tau, rtol=1e-9)
+
+
+def test_mmse_tau_is_what_the_powers_reach_when_the_budget_runs_out(monkeypatch):
+    cfg = SystemConfig(m=12, n=24, k=6)
+    cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
+    monkeypatch.setattr(power, "FIXED_POINT_MAX_ITER", 2)
+    for seed in range(4):
+        rng = np.random.default_rng((1, seed))
+        chan = sample_channel(cfg, rng)
+        phase = PhaseVector.random(cfg.n, cfg.alpha, rng)
+        result = mmse_max_min_power(effective_channel(chan, phase), cap, cfg.sigma2)
+        reached = post_bf_sinr(chan, phase, result.power, cfg.sigma2).minimum
+        assert result.tau == pytest.approx(reached, rel=1e-12)
