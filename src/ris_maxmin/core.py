@@ -280,9 +280,11 @@ def sinr_per_user(chan: ChannelRealization, phase: PhaseVector, powers, bf,
     p = _power_array(powers)
     rows = _bf_matrix(bf)
     g = effective_channel(chan, phase)
-    cross = rows.conj() @ g                      # entry (i, j) = b_i^H g_j
-    gains = np.abs(cross) ** 2
-    signal = p * np.diagonal(gains)
-    interference = gains @ p - signal
+    gains = np.abs(rows.conj() @ g) ** 2         # entry (i, j) = |b_i^H g_j|^2
+    signal = p * gains.diagonal()
+    # sum the interference without the direct term: gains @ p - signal would
+    # cancel the digits of a high-SINR user's interference
+    gains.flat[::gains.shape[1] + 1] = 0.0
+    interference = gains @ p
     noise = sigma2 * np.sum(np.abs(rows) ** 2, axis=1)
     return SinrReport.from_per_user(signal / (interference + noise))

@@ -20,7 +20,7 @@ from .beamforming import _mmse_state, post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
                    _bf_matrix, _power_array, effective_channel)
 from .errors import ConfigurationError, DomainError
-from .power import mmse_max_min_power
+from .power import _balance_system, mmse_max_min_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +189,10 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
 
     with w the left null vector of d sinr / d p once column b is removed;
     d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the diagonal,
-    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i. Returns (gradient, the
-    power-control result); ``start`` warm-starts the power fixed point. The
-    gradient is zero when the power step is degenerate.
+    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i: the system the power
+    step's Newton iteration solves (power._balance_system). Returns
+    (gradient, the power-control result); ``start`` warm-starts the power
+    step. The gradient is zero when the power step is degenerate.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
@@ -203,14 +204,11 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     p = result.power.p
     # the fixed point's last step factored this very (g, p*)
     deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2, result.mmse_state)
-    k = p.size
-    jac = -p[:, None] * np.abs(couplings) ** 2
-    jac[np.diag_indices(k)] = np.real(np.diagonal(couplings))
     binding = int(np.argmax(p / cap))
-    # [J without column b, -1] maps (dp_-b, dtau) onto the SINR changes; the
-    # last row of its inverse is -w / sum(w)
-    system = np.column_stack([np.delete(jac, binding, axis=1), -np.ones(k)])
-    weights = np.linalg.solve(system.T, np.eye(k)[-1])
+    # the balance system maps (dp without dp_b, dtau) onto the SINR changes;
+    # the row of its inverse that yields dtau (row b) is -w / sum(w)
+    system = _balance_system(couplings, p, binding)
+    weights = np.linalg.solve(system.T, np.eye(p.size)[binding])
     return -(weights @ _tangent(phase, deriv)), result
 
 

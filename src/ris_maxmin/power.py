@@ -15,12 +15,18 @@ without the dependency and without iterating.
 ``mmse_max_min_power`` solves the same problem when every user keeps its
 MMSE combiner for whatever powers are chosen. Then user k's interference
 I_k(p) = p_k / sinr_k(p) = 1 / (g_k^H (S_k + sigma2*I)^{-1} g_k) is a
-standard interference function, and the normalized fixed point
+standard interference function, and the optimum is the unique power vector
+that equalizes every SINR at the largest common value tau with the binding
+user b at its cap. It solves the balance equations sinr(p) = tau * 1 in the
+unknowns (p without p_b, tau) by Newton steps, whose Jacobian
+(``_balance_system``) comes from the couplings of the factorization that
+already gave the SINRs. A step that cannot be trusted is replaced by one
+step of the normalized fixed point
 
-    p <- I(p) / max_k(I_k(p) / cap_k)
+    p <- I(p) / max_k(I_k(p) / cap_k),
 
-converges to the unique power vector that equalizes every SINR at the
-largest common value tau with the binding user at its cap.
+which converges from any positive start, so the worst case is that
+iteration.
 """
 
 from dataclasses import dataclass
@@ -118,16 +124,51 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     return PowerControlResult(PowerAllocation(p), float(sinr.min()), False)
 
 
+def _balance_system(couplings: np.ndarray, p: np.ndarray, binding: int) -> np.ndarray:
+    """Jacobian of the balance equations sinr(p) - tau * 1 in (p without p_b, tau).
+
+    d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the diagonal,
+    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i (_MmseState.couplings). The
+    binding user b is held at its cap, so column b carries tau's -1 column.
+    """
+    system = -p[:, None] * np.abs(couplings) ** 2
+    system.flat[::p.size + 1] = couplings.diagonal().real
+    system[:, binding] = -1.0
+    return system
+
+
+def _newton_powers(state, p: np.ndarray, cap: np.ndarray):
+    """One Newton step on the balance equations from powers p (binding user at
+    its cap), renormalized onto the caps; None when the solve is singular or a
+    power would not stay positive."""
+    binding = int(np.argmax(p / cap))
+    # the tau entry absorbs any common target, so aim at the smallest SINR
+    try:
+        step = np.linalg.solve(_balance_system(state.couplings, p, binding),
+                               state.sinr.min() - state.sinr)
+    except np.linalg.LinAlgError:
+        return None
+    step[binding] = 0.0
+    p_new = p + step
+    if not np.all(p_new > 0.0):
+        return None
+    return np.minimum(cap, p_new / np.max(p_new / cap))
+
+
 def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> PowerControlResult:
     """Max-min SINR powers under per-user caps when every user keeps its MMSE combiner.
 
-    ``g`` is the (m, k) matrix of effective channels. Runs the normalized
-    fixed point from the positive powers ``start`` (default: the caps) until
-    no power moves by more than MMSE_FIXED_POINT_RTOL of its cap. The
-    returned powers lie within the caps with the binding user at its cap,
-    and tau is the minimum SINR they achieve under the MMSE combiners. A
-    user with a zero effective channel makes the problem degenerate: the
-    caps are returned with tau = 0.
+    ``g`` is the (m, k) matrix of effective channels. From the positive
+    powers ``start`` (default: the caps), each step factors the current
+    powers once and takes a Newton step on the balance equations. It takes
+    a normalized fixed-point step instead when the Newton solve is singular,
+    when a power would come out nonpositive, or when the previous step did
+    not shrink the SINR spread max/min - 1. It stops when no power moves by
+    more than MMSE_FIXED_POINT_RTOL of its cap, or after
+    FIXED_POINT_MAX_ITER steps. The returned powers lie within the caps
+    with the binding user at its cap, and tau is the minimum SINR they
+    achieve under the MMSE combiners. A user with a zero effective channel
+    makes the problem degenerate: the caps are returned with tau = 0.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
@@ -141,13 +182,17 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
 
     p = cap.copy() if start is None else np.asarray(start, dtype=float)
     p = np.minimum(cap, p / np.max(p / cap))
+    spread_seen = np.inf
     for _ in range(FIXED_POINT_MAX_ITER):
         current = post_bf_sinr_values(g, p, sigma2).state
-        interference = p / current.sinr
-        p_new = np.minimum(cap, interference / np.max(interference / cap))
+        spread = current.sinr.max() / current.sinr.min() - 1.0
+        p_new = _newton_powers(current, p, cap) if spread < spread_seen else None
+        if p_new is None:
+            interference = p / current.sinr
+            p_new = np.minimum(cap, interference / np.max(interference / cap))
         if np.max(np.abs(p_new - p) / cap) <= MMSE_FIXED_POINT_RTOL:
             break
-        p_seen, p = p, p_new
+        spread_seen, p_seen, p = spread, p, p_new
     else:
         p = p_seen                     # out of budget: keep the powers current was factored at
     # tau is what the returned powers achieve, so it never overstates the optimum

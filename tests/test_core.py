@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,7 +6,7 @@ from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
                         PhaseVector, PowerAllocation, SinrReport, SystemConfig,
                         effective_channel, noise_power, sinr_per_user)
 
-from conftest import random_beamformer, random_phase, synth_channel
+from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 
 
 def test_config_defaults_and_noise():
@@ -122,6 +123,34 @@ def test_two_user_scalar_oracle(rng):
         expected.append(sig / (intf + sigma2 * np.linalg.norm(bf.rows[k]) ** 2))
     rep = sinr_per_user(chan, phase, p, bf, sigma2)
     assert np.abs(rep.per_user - np.array(expected)).max() < 1e-12
+
+
+def test_sinr_per_user_keeps_a_high_sinr_users_interference(rng):
+    """At SINR about 1e9 each user's interference is summed, not left over
+    from subtracting its signal, so the SINR holds 1e-12 of a 40-digit
+    reference. The combiners are scaled standard basis vectors, so every
+    b_i^H g_j is one product and the reference sees the same gains."""
+    k = 3
+    h2 = np.eye(k) + 1e-5 * complex_normal(rng, (k, k))
+    chan = ChannelRealization(h1=np.eye(k), ris_corr_sqrt=np.eye(k), h2=h2,
+                              user_positions=np.zeros((k, 2)))
+    phase = random_phase(rng, k)
+    bf = Beamformer(rows=np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))))
+    p = rng.uniform(0.5, 1.0, k)
+    sigma2 = 1e-9
+    rep = sinr_per_user(chan, phase, p, bf, sigma2)
+
+    g = effective_channel(chan, phase)
+    with mpmath.workdps(40):
+        gains = [[abs(mpmath.fsum(mpmath.conj(mpmath.mpc(b)) * mpmath.mpc(x)
+                                  for b, x in zip(bf.rows[i], g[:, j]))) ** 2
+                  for j in range(k)] for i in range(k)]
+        for i in range(k):
+            noise = sigma2 * mpmath.fsum(abs(mpmath.mpc(b)) ** 2 for b in bf.rows[i])
+            interference = mpmath.fsum(p[j] * gains[i][j] for j in range(k) if j != i)
+            expected = p[i] * gains[i][i] / (interference + noise)
+            assert expected > 1e8
+            assert abs(rep.per_user[i] - expected) <= 1e-12 * expected
 
 
 def test_sinr_invariant_to_combiner_phase(rng):

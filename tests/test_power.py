@@ -8,6 +8,7 @@ from ris_maxmin import (DomainError, GainTable, PhaseVector, SystemConfig,
                         max_min_power, mmse_max_min_power, post_bf_sinr,
                         sample_channel)
 from ris_maxmin import power
+from ris_maxmin.beamforming import post_bf_sinr_values
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 
@@ -264,3 +265,45 @@ def test_mmse_tau_is_what_the_powers_reach_when_the_budget_runs_out(monkeypatch)
         result = mmse_max_min_power(effective_channel(chan, phase), cap, cfg.sigma2)
         reached = post_bf_sinr(chan, phase, result.power, cfg.sigma2).minimum
         assert result.tau == pytest.approx(reached, rel=1e-12)
+
+
+def _mmse_fixed_point(g, cap, sigma2):
+    """Oracle for mmse_max_min_power: the tau of the normalized fixed point
+    p <- I(p) / max_k(I_k(p) / cap_k), run from the caps with the library's
+    stop rule and budget; tau is the minimum SINR at the last powers factored."""
+    p = cap.copy()
+    for _ in range(power.FIXED_POINT_MAX_ITER):
+        sinr = post_bf_sinr_values(g, p, sigma2)
+        interference = p / sinr
+        p_new = np.minimum(cap, interference / np.max(interference / cap))
+        if np.max(np.abs(p_new - p) / cap) <= power.MMSE_FIXED_POINT_RTOL:
+            break
+        p = p_new
+    return float(sinr.min())
+
+
+@st.composite
+def mmse_problems(draw):
+    """Unit-scale complex-normal channels with m = 1..12 and k = 1..8 (k > m
+    included), noise from 0.1 to 2 and unequal caps."""
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    g = complex_normal(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), (m, k))
+    sigma2 = draw(st.floats(0.1, 2.0))
+    cap = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)))
+    return g, cap, sigma2
+
+
+@settings(max_examples=200, deadline=None)
+@given(mmse_problems())
+def test_mmse_newton_steps_reach_the_fixed_point_optimum(problem):
+    g, cap, sigma2 = problem
+    result = mmse_max_min_power(g, cap, sigma2)
+    oracle_tau = _mmse_fixed_point(g, cap, sigma2)
+    assert not result.degenerate
+    assert result.tau >= oracle_tau * (1.0 - 1e-10)
+    p = result.power.p
+    sinr = post_bf_sinr_values(g, p, sigma2)
+    assert sinr.max() / sinr.min() - 1.0 <= 1e-10
+    assert np.all(p <= cap)
+    assert np.any(p == cap)
