@@ -3,52 +3,38 @@
 Library plus batch CLI covering the full alternating optimization of
 receive combiners, per-user transmit powers and RIS phase shifts, with
 three interchangeable phase optimizers and an exposure-capped power mode.
+The names below are the public API that the README documents; everything
+else is reached through its module.
 """
 
-from .alternating import METHODS, Solution, alternating_optimize
-from .beamforming import optimal_beamformers, post_bf_sinr
-from .channel import (LosAngleSet, PathLossModel, dump_channel_text,
-                      load_channel_text, los_steering_matrix, path_loss,
-                      ris_correlation_sqrt, sample_channel, sample_los_angles,
-                      sample_user_positions)
+from .alternating import Solution, alternating_optimize
+from .beamforming import optimal_beamformers
+from .channel import sample_channel
 from .core import (Beamformer, ChannelRealization, PhaseVector,
                    PowerAllocation, SinrReport, SystemConfig,
-                   effective_channel, noise_power, sinr_per_user)
+                   effective_channel, sinr_per_user)
 from .errors import ConfigurationError, DomainError, NumericError
-from .harness import (CSV_COLUMNS, ExperimentPlan, TrialRecord, dump_config,
-                      load_config, parse_config_text, run_experiment)
-from .phase import (LseOptions, LseResult, QuadraticFormSet, QuantOptions,
-                    QuantResult, build_quadratic_forms,
-                    finite_difference_tangent, grid_phase_from_uniform,
-                    lse_gradient_phase, lse_max_min_phase, lse_objective,
-                    max_min_sinr_tangent, phase_grid,
-                    quantized_heuristic_phase, sinr_phase_derivative,
-                    sinr_phase_tangent)
-from .power import (GainTable, PowerControlResult, effective_power_cap,
-                    gain_table, max_min_power, mmse_max_min_power)
-from .sdr import LiftedMatrix, SdrOptions, SdrResult, sdr_dinkelbach_phase
+from .harness import ExperimentPlan, run_experiment
+from .phase import (QuantOptions, build_quadratic_forms,
+                    grid_phase_from_uniform, lse_gradient_phase, phase_grid,
+                    quantized_heuristic_phase, sinr_phase_tangent)
+from .power import GainTable, effective_power_cap, max_min_power
+from .sdr import sdr_dinkelbach_phase
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "METHODS", "Solution", "alternating_optimize",
-    "optimal_beamformers", "post_bf_sinr",
-    "LosAngleSet", "PathLossModel", "dump_channel_text", "load_channel_text",
-    "los_steering_matrix", "path_loss", "ris_correlation_sqrt",
-    "sample_channel", "sample_los_angles", "sample_user_positions",
+    "Solution", "alternating_optimize",
+    "optimal_beamformers",
+    "sample_channel",
     "Beamformer", "ChannelRealization", "PhaseVector", "PowerAllocation",
-    "SinrReport", "SystemConfig", "effective_channel", "noise_power",
-    "sinr_per_user",
+    "SinrReport", "SystemConfig", "effective_channel", "sinr_per_user",
     "ConfigurationError", "DomainError", "NumericError",
-    "CSV_COLUMNS", "ExperimentPlan", "TrialRecord", "dump_config",
-    "load_config", "parse_config_text", "run_experiment",
-    "LseOptions", "LseResult", "QuadraticFormSet", "QuantOptions",
-    "QuantResult", "build_quadratic_forms", "finite_difference_tangent",
-    "grid_phase_from_uniform", "lse_gradient_phase", "lse_max_min_phase",
-    "lse_objective", "max_min_sinr_tangent", "phase_grid",
-    "quantized_heuristic_phase", "sinr_phase_derivative", "sinr_phase_tangent",
-    "GainTable", "PowerControlResult", "effective_power_cap", "gain_table",
-    "max_min_power", "mmse_max_min_power",
-    "LiftedMatrix", "SdrOptions", "SdrResult", "sdr_dinkelbach_phase",
+    "ExperimentPlan", "run_experiment",
+    "QuantOptions", "build_quadratic_forms", "grid_phase_from_uniform",
+    "lse_gradient_phase", "phase_grid", "quantized_heuristic_phase",
+    "sinr_phase_tangent",
+    "GainTable", "effective_power_cap", "max_min_power",
+    "sdr_dinkelbach_phase",
     "__version__",
 ]

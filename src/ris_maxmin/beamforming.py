@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .core import (Beamformer, ChannelRealization, PhaseVector, SinrReport,
-                   _power_array, effective_channel)
+from .core import (Beamformer, ChannelRealization, PhaseVector, _power_array,
+                   effective_channel)
 from .errors import ConfigurationError, NumericError
 
 # slack 1/(1+SINR) below which Sherman-Morrison has lost too many digits:
@@ -71,8 +71,15 @@ class _MmseState(NamedTuple):
     couplings: np.ndarray
 
 
-def _mmse_state(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseState:
-    """Every user's MMSE direction, SINR and couplings from one factorization."""
+def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseState:
+    """Every user's MMSE direction, SINR and couplings from one factorization.
+
+    ``g`` is the (m, k) matrix of effective channels. This is the one MMSE
+    kernel: the combiners, the power step and the phase gradient all read
+    the returned _MmseState, so a caller that needs the couplings at the
+    SINRs' own operating point, as max_min_sinr_tangent does after
+    mmse_max_min_power, does not factor it again.
+    """
     m, k = g.shape
     if not np.all(np.isfinite(g)):
         raise NumericError("effective channel contains non-finite entries")
@@ -112,39 +119,9 @@ def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     p = _power_array(powers)
     g = effective_channel(chan, phase)
-    rows = _mmse_state(g, p, sigma2).directions.T
+    rows = post_bf_sinr_values(g, p, sigma2).directions.T
     norms = np.linalg.norm(rows, axis=1)
     zero = np.linalg.norm(g, axis=0) == 0.0
     rows[zero, 0] = 1.0
     norms[zero] = 1.0
     return Beamformer(rows=rows / norms[:, None])
-
-
-class _SinrValues(np.ndarray):
-    """Per-user SINRs that keep, as ``state``, the _MmseState they were read from."""
-
-    state = None
-
-
-def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> np.ndarray:
-    """SINRs under the optimal combiner, straight from the effective channels.
-
-    The array also carries the operating point's _MmseState as ``state``, so
-    a caller that goes on to need the couplings at the same (g, p), as
-    max_min_sinr_tangent does after mmse_max_min_power, does not factor it
-    again.
-    """
-    state = _mmse_state(g, p, sigma2)
-    values = state.sinr.view(_SinrValues)
-    values.state = state
-    return values
-
-
-def post_bf_sinr(chan: ChannelRealization, phase: PhaseVector, powers,
-                 sigma2: float) -> SinrReport:
-    """SINR of every user assuming each applies its optimal receive combiner."""
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
-    p = _power_array(powers)
-    g = effective_channel(chan, phase)
-    return SinrReport.from_per_user(post_bf_sinr_values(g, p, sigma2))

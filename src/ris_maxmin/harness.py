@@ -25,7 +25,7 @@ from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
 from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
-from .phase import LseOptions, QuantOptions
+from .phase import QUANT_MAX_EVALS, LseOptions, QuantOptions
 from .sdr import SdrOptions
 
 
@@ -47,13 +47,29 @@ class ExperimentPlan:
     max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        for key in ("trials", "quant_window", "max_sweeps"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.tol >= 0.0:
+            raise ConfigurationError(f"tol must be >= 0, got {self.tol}")
+        # the swap heuristic's window sums nonnegative gains, so only a positive
+        # threshold can stop it before its evaluation budget
+        if not self.quant_epsilon > 0.0:
+            raise ConfigurationError(f"quant_epsilon must be > 0, got {self.quant_epsilon}")
+        if self.n_rand < 0:
+            raise ConfigurationError(f"n_rand must be >= 0, got {self.n_rand}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; expected a subset of {METHODS}")
-        if any(b < 1 for b in self.b_grid):
-            raise ConfigurationError("b_grid entries must be >= 1")
+        for key in ("k_grid", "m_grid", "n_grid"):
+            if any(v < 1 for v in getattr(self, key)):
+                raise ConfigurationError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+        # one swap of the quant heuristic tries every one of the 2^B levels
+        max_bits = QUANT_MAX_EVALS.bit_length() - 1
+        if any(not 1 <= b <= max_bits for b in self.b_grid):
+            raise ConfigurationError(
+                f"b_grid entries must lie in 1..{max_bits}, so that one swap's 2^B levels fit "
+                f"the {QUANT_MAX_EVALS} evaluations of the quant budget; got {self.b_grid}")
 
 
 def _list_of(item):

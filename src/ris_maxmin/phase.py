@@ -1,8 +1,11 @@
 """RIS phase optimization: quadratic-form machinery, the smooth-min gradient
 methods, and the quantized random-swap heuristic.
 
-The fixed-combiner SINR of user k is a ratio of quadratic forms in the
-scaled phase vector u = alpha * phi:
+Phases are scored under one of two combiner models, each with one
+evaluation path.
+
+Fixed combiners (the ``quant`` objective and ``sdr``): the SINR of user k
+is a ratio of quadratic forms in the scaled phase vector u = alpha * phi,
 
     sinr_k(u) = p_k |v[k,k]^H u|^2 / (sum_{i != k} p_i |v[k,i]^H u|^2 + noise_k)
 
@@ -10,13 +13,19 @@ where v[k,i] = conj(h2[i]) * ((h1 @ ris_corr_sqrt)^H b_k). Note the pair
 indexing: interference from user i flows through user k's combiner, so one
 vector per (combiner, transmitter) pair is needed to reproduce the true
 SINR. The diagonal v[k,k] satisfies v[k,k]^H u = b_k^H g_k exactly.
+QuadraticFormSet.sinr_batch is the one formula, on the pair matrix and
+power split the set builds once; sdr's level model reads the same two.
+
+MMSE combiners (the ``lse`` steps): each candidate's effective channels go
+through beamforming.post_bf_sinr_values, whose one factorization also
+gives the couplings the phase derivative needs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import _mmse_state, post_bf_sinr_values
+from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
                    _bf_matrix, _power_array, effective_channel)
 from .errors import ConfigurationError, DomainError
@@ -30,19 +39,38 @@ class QuadraticFormSet:
     ``pair_vectors``: (k, k, n) complex; entry [k, i] is the vector whose
     inner product with the scaled phase vector equals b_k^H g_i.
     ``noise``: sigma2 * ||b_k||^2 per user. ``powers``: watts per user.
+
+    Built once at construction, with K users: ``pair_conj``, the (K*K, n)
+    conjugated pair vectors, row K*k + i holding pair [k, i]; and ``split``,
+    the (K*K, 2K) power split that sends each squared pair gain, weighted
+    by p_i, to user k's signal (column k, when i = k) or interference
+    (column K + k, when i != k). The direct term never enters the
+    interference sum, so a high-SINR user keeps all of its digits.
     """
 
     pair_vectors: np.ndarray
     noise: np.ndarray
     powers: np.ndarray
+    pair_conj: np.ndarray = field(init=False, repr=False)
+    split: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pv = np.asarray(self.pair_vectors, dtype=complex)
         if pv.ndim != 3 or pv.shape[0] != pv.shape[1]:
             raise ConfigurationError(f"pair_vectors must be (k, k, n), got {pv.shape}")
+        k = pv.shape[0]
+        noise = np.asarray(self.noise, dtype=float)
+        powers = np.asarray(self.powers, dtype=float)
+        if noise.shape != (k,) or powers.shape != (k,):
+            raise ConfigurationError(f"noise {noise.shape} and powers {powers.shape} must be ({k},)")
+        user, source = np.divmod(np.arange(k * k), k)
+        split = np.zeros((k * k, 2 * k))
+        split[np.arange(k * k), np.where(user == source, user, k + user)] = powers[source]
         object.__setattr__(self, "pair_vectors", pv)
-        object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
-        object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "pair_conj", pv.conj().reshape(k * k, pv.shape[2]))
+        object.__setattr__(self, "split", split)
 
     @property
     def k(self) -> int:
@@ -58,38 +86,16 @@ class QuadraticFormSet:
         idx = np.arange(self.k)
         return self.pair_vectors[idx, idx]
 
-    def rank_one(self, k: int, i: int | None = None) -> np.ndarray:
-        """The Hermitian PSD rank-one matrix of pair (k, i); i defaults to k."""
-        v = self.pair_vectors[k, k if i is None else i]
-        return np.outer(v, v.conj())
-
-    def sinr(self, phi_vec: np.ndarray) -> np.ndarray:
-        """Per-user SINR at one scaled phase vector."""
-        inner = np.einsum("kin,n->ki", self.pair_vectors.conj(), phi_vec)
-        gains = np.abs(inner) ** 2
-        signal = self.powers * np.diagonal(gains)
-        interference = gains @ self.powers - signal
-        return signal / (interference + self.noise)
+    def sinr_batch(self, phi_vecs: np.ndarray) -> np.ndarray:
+        """Per-user SINRs at scaled phase vectors: (n,) -> (k,), or (n, c) -> (k, c)."""
+        gains = np.abs(self.pair_conj @ phi_vecs) ** 2
+        parts = self.split.T @ gains
+        k = self.noise.size
+        noise = self.noise if gains.ndim == 1 else self.noise[:, None]
+        return parts[:k] / (parts[k:] + noise)
 
     def min_sinr(self, phi_vec: np.ndarray) -> float:
-        return float(self.sinr(phi_vec).min())
-
-    def sinr_batch(self, phi_vecs: np.ndarray) -> np.ndarray:
-        """Per-user SINRs for a batch of scaled phase vectors, shape (n, c) -> (k, c)."""
-        k = self.k
-        flat = self.pair_vectors.conj().reshape(k * k, self.n)
-        gains = np.abs(flat @ phi_vecs).reshape(k, k, -1) ** 2
-        signal = self.powers[:, None] * gains[np.arange(k), np.arange(k)]
-        interference = np.einsum("kic,i->kc", gains, self.powers) - signal
-        return signal / (interference + self.noise[:, None])
-
-    def lifted_sinr(self, v: np.ndarray) -> np.ndarray:
-        """Per-user SINR ratio evaluated on a lifted matrix V in place of u u^H."""
-        quads = np.real(np.einsum("kin,nm,kim->ki", self.pair_vectors.conj(), v, self.pair_vectors))
-        quads = np.maximum(quads, 0.0)
-        signal = self.powers * np.diagonal(quads)
-        interference = quads @ self.powers - signal
-        return signal / (interference + self.noise)
+        return float(self.sinr_batch(phi_vec).min())
 
 
 def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -> QuadraticFormSet:
@@ -156,7 +162,7 @@ def _derivative_terms(chan: ChannelRealization, g: np.ndarray, p: np.ndarray,
     couplings: couplings[j, i] = g_j^H T_j g_i. ``state``, when given, is
     the _MmseState already factored at (g, p, sigma2)."""
     if state is None:
-        state = _mmse_state(g, p, sigma2)
+        state = post_bf_sinr_values(g, p, sigma2)
     weights = -p * state.couplings
     np.fill_diagonal(weights, 1.0)
     combo = weights @ chan.h2.conj()                                   # (k, n)
@@ -202,7 +208,7 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     if result.degenerate:
         return np.zeros(phase.n), result
     p = result.power.p
-    # the fixed point's last step factored this very (g, p*)
+    # the power step returns the factorization it took at this very (g, p*)
     deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2, result.mmse_state)
     binding = int(np.argmax(p / cap))
     # the balance system maps (dp without dp_b, dtau) onto the SINR changes;
@@ -249,11 +255,6 @@ class LseResult:
     power: PowerAllocation | None = None
 
 
-def _postbf_values(cascade, h2, p, sigma2, alpha, theta):
-    phi_vec = alpha * np.exp(1j * theta)
-    return post_bf_sinr_values(cascade @ (phi_vec[:, None] * h2.T), p, sigma2)
-
-
 def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
                        sigma2: float, options: LseOptions | None = None) -> LseResult:
     """Projected gradient descent on the smooth-min surrogate over the angles.
@@ -266,11 +267,14 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
     """
     opts = options or LseOptions()
     p = _power_array(powers)
-    cascade = chan.cascade_matrix()
     alpha = init.alpha
     theta = init.theta.copy()
 
-    rho = _postbf_values(cascade, chan.h2, p, sigma2, alpha, theta)
+    def values(angles):
+        g = effective_channel(chan, PhaseVector(theta=angles, alpha=alpha))
+        return post_bf_sinr_values(g, p, sigma2).sinr
+
+    rho = values(theta)
     if np.any(rho <= 0):
         return LseResult(init, float(rho.min()), 0, False, np.inf,
                          warning="degenerate SINR at the initial phase")
@@ -297,7 +301,7 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
         accepted = False
         for _ in range(LSE_MAX_BACKTRACKS):
             theta_new = np.mod(theta - step * grad, TWO_PI)
-            rho_new = _postbf_values(cascade, chan.h2, p, sigma2, alpha, theta_new)
+            rho_new = values(theta_new)
             if np.all(rho_new > 0):
                 obj_new = lse_objective(rho_new)
                 if obj_new <= objective - LSE_ARMIJO_C * step * gsq:
@@ -364,24 +368,6 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
         grad_norm=float(np.max(np.abs(out.jac))),
         power=best["power"],
     )
-
-
-def finite_difference_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
-                              sigma2: float, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the post-combining SINRs over each angle."""
-    p = _power_array(powers)
-    cascade = chan.cascade_matrix()
-    def values(theta):
-        return _postbf_values(cascade, chan.h2, p, sigma2, phase.alpha, theta)
-
-    columns = []
-    for n in range(phase.n):
-        hi = phase.theta.copy()
-        hi[n] += step
-        lo = phase.theta.copy()
-        lo[n] -= step
-        columns.append((values(hi) - values(lo)) / (2.0 * step))
-    return np.stack(columns, axis=-1)
 
 
 def phase_grid(bits: int) -> np.ndarray:

@@ -26,7 +26,8 @@ step of the normalized fixed point
     p <- I(p) / max_k(I_k(p) / cap_k),
 
 which converges from any positive start, so the worst case is that
-iteration.
+iteration. The steps stop once the SINRs are balanced, judged by their
+spread, not by how far a step moves the powers.
 """
 
 from dataclasses import dataclass
@@ -38,8 +39,10 @@ from .beamforming import post_bf_sinr_values
 from .core import ChannelRealization, PhaseVector, PowerAllocation, _bf_matrix, effective_channel
 from .errors import ConfigurationError, DomainError, NumericError
 
-FIXED_POINT_MAX_ITER = 500
-MMSE_FIXED_POINT_RTOL = 1e-14
+FIXED_POINT_MAX_ITER = 500  # factored operating points per mmse_max_min_power call, at most
+BALANCED_SPREAD = 1e-13     # SINR spread max/min - 1 at which the powers are balanced
+STALL_SPREAD = 1e-9         # once the best spread is this small, STALL_STEPS steps
+STALL_STEPS = 2             # without a new best spread also end the call
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,16 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
     powers once and takes a Newton step on the balance equations. It takes
     a normalized fixed-point step instead when the Newton solve is singular,
     when a power would come out nonpositive, or when the previous step did
-    not shrink the SINR spread max/min - 1. It stops when no power moves by
-    more than MMSE_FIXED_POINT_RTOL of its cap, or after
-    FIXED_POINT_MAX_ITER steps. The returned powers lie within the caps
-    with the binding user at its cap, and tau is the minimum SINR they
-    achieve under the MMSE combiners. A user with a zero effective channel
-    makes the problem degenerate: the caps are returned with tau = 0.
+    not shrink the SINR spread max/min - 1. The call stops on balance: once
+    the spread is at most BALANCED_SPREAD, or once the best spread so far
+    is at most STALL_SPREAD and STALL_STEPS steps have not beaten it (the
+    eps * SINR rounding of a high-SINR user sets a floor under the spread),
+    or after FIXED_POINT_MAX_ITER steps. It returns the best-balanced
+    powers it factored, with that factorization as ``mmse_state``: they lie
+    within the caps with the binding user at its cap, and tau is the
+    minimum SINR they achieve under the MMSE combiners. A user with a zero
+    effective channel makes the problem degenerate: the caps are returned
+    with tau = 0.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
@@ -182,21 +189,26 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
 
     p = cap.copy() if start is None else np.asarray(start, dtype=float)
     p = np.minimum(cap, p / np.max(p / cap))
-    spread_seen = np.inf
+    previous = best_spread = np.inf
+    best_state, stalled = None, 0
     for _ in range(FIXED_POINT_MAX_ITER):
-        current = post_bf_sinr_values(g, p, sigma2).state
+        current = post_bf_sinr_values(g, p, sigma2)
         spread = current.sinr.max() / current.sinr.min() - 1.0
-        p_new = _newton_powers(current, p, cap) if spread < spread_seen else None
+        if best_state is None or spread < best_spread:
+            best_spread, best_p, best_state, stalled = spread, p, current, 0
+        else:
+            stalled += 1
+        if best_spread <= BALANCED_SPREAD or (best_spread <= STALL_SPREAD
+                                              and stalled >= STALL_STEPS):
+            break
+        p_new = _newton_powers(current, p, cap) if spread < previous else None
         if p_new is None:
             interference = p / current.sinr
             p_new = np.minimum(cap, interference / np.max(interference / cap))
-        if np.max(np.abs(p_new - p) / cap) <= MMSE_FIXED_POINT_RTOL:
-            break
-        spread_seen, p_seen, p = spread, p, p_new
-    else:
-        p = p_seen                     # out of budget: keep the powers current was factored at
+        previous, p = spread, p_new
     # tau is what the returned powers achieve, so it never overstates the optimum
-    return PowerControlResult(PowerAllocation(p), float(current.sinr.min()), False, current)
+    return PowerControlResult(PowerAllocation(best_p), float(best_state.sinr.min()), False,
+                              best_state)
 
 
 def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:

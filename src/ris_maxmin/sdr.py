@@ -15,16 +15,20 @@ C_k(lam) is affine in lam, so one level model serves the whole call: a
 single pass over the pair gains |b_ki^H L|^2 gives every user's signal
 s_k = p_k <R_kk, V> and denominator d_k = sum_{i != k} p_i <R_ki, V> +
 noise_k, and from them the levels s_k - lam*d_k and the SINR ratios
-s_k / d_k. An inner ascent stops at INNER_ITERS steps, or earlier once its
-best ratio has not risen by more than a relative STOP_REL over STOP_WINDOW
-consecutive accepted steps: the level update below acts only on ratio gains
-of at least OUTER_TOL, a hundred times STOP_REL.
+s_k / d_k. The pass uses the forms' own pair matrix and power split, the
+ones QuadraticFormSet.sinr_batch evaluates, so the ratios of a rank-one
+factor L = u are the forms' SINRs at u.
+
+An inner ascent stops at INNER_ITERS steps, or earlier once its best ratio
+has not risen by more than a relative STOP_REL over STOP_WINDOW consecutive
+accepted steps: the level update below acts only on ratio gains of at least
+OUTER_TOL, a hundred times STOP_REL.
 
 The level is then updated to the smallest SINR ratio at the best iterate
 and the loop repeats until it stops improving. A rank-one solution is read
 off the top eigenvector when V is essentially rank one and by Gaussian
-randomization otherwise; the returned phase never scores below the
-incoming one.
+randomization otherwise. The forms score the incoming phase and every
+rounded candidate; the returned phase never scores below the incoming one.
 """
 
 import math
@@ -90,9 +94,9 @@ class SdrOptions:
 class SdrResult:
     """Outcome of sdr_dinkelbach_phase.
 
-    ``relaxed_value`` is the largest minimum SINR ratio the run certified on
+    ``feasible_value`` is the largest minimum SINR ratio the run reached on
     a feasible point of the relaxation (a lifted iterate, a rounded
-    candidate or the incoming phase). It is a lower value of the relaxation,
+    candidate or the incoming phase). It is a value the relaxation attains,
     not an upper bound on its optimum; ``min_sinr`` never exceeds it.
 
     Counters, summed over the call: ``inner_steps`` accepted ascent steps,
@@ -104,7 +108,7 @@ class SdrResult:
 
     phase: PhaseVector
     min_sinr: float
-    relaxed_value: float
+    feasible_value: float
     lifted: LiftedMatrix
     iterations: int
     inner_steps: int
@@ -125,25 +129,21 @@ class _LevelModel:
 
     The level of user k at lam is signal_k - lam * denominator_k and its
     SINR ratio is signal_k / denominator_k, so one model serves every lam.
+    The pair matrix and the power split are the forms' own; the model adds
+    the lam-affine coefficients of the levels and the transposed pair
+    matrix the gradient needs.
     """
 
     def __init__(self, forms: QuadraticFormSet):
-        k, n = forms.k, forms.n
+        k = forms.k
         self.k = k
-        pair_flat = forms.pair_vectors.reshape(k * k, n)
-        self.pair_conj = pair_flat.conj()
-        self.pair_t = np.ascontiguousarray(pair_flat.T)
+        self.pair_conj = forms.pair_conj
+        self.split = forms.split
+        self.pair_t = np.ascontiguousarray(forms.pair_vectors.reshape(k * k, forms.n).T)
         self.noise = forms.noise
-        signal = np.diag(forms.powers)
-        interference = np.tile(forms.powers, (k, 1)) - signal
-        self.signal_coef = signal.ravel()
-        self.interference_coef = interference.ravel()
-        # flat pair gains -> (signal_1..k, interference_1..k) in one product
-        split = np.zeros((k * k, 2 * k))
         rows = np.arange(k * k)
-        split[rows, rows // k] = self.signal_coef
-        split[rows, k + rows // k] = self.interference_coef
-        self.split = split
+        self.signal_coef = forms.split[rows, rows // k]
+        self.interference_coef = forms.split[rows, k + rows // k]
 
     def coef(self, lam: float) -> np.ndarray:
         """Flat (k*k,) weight of every pair gain in the levels at lam."""
@@ -254,10 +254,9 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
                          rng: np.random.Generator, options: SdrOptions | None = None) -> SdrResult:
     """Run the relax-and-round phase optimizer from the given starting phase.
 
-    ``relaxed_value`` is the best certified value of the relaxation seen
-    during the run (every lifted iterate and every rounded candidate is a
-    feasible point of the relaxed problem), so it is a lower value of the
-    relaxation and the returned phase's minimum SINR never exceeds it.
+    The forms' SINRs (QuadraticFormSet.sinr_batch) give the incoming value
+    and score the rounded candidates; the returned phase scores no lower
+    than the incoming one, and no higher than ``feasible_value``.
     """
     opts = options or SdrOptions()
     n = init.n
@@ -279,7 +278,7 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     factor = _normalize_rows(factor, alpha)
 
     u0 = init.phi_vec
-    init_value = float(scaled.sinr(u0).min())
+    init_value = scaled.min_sinr(u0)
     lam = init_value
     lam_best = lam
     factor_best = u0[:, None].copy()
@@ -342,7 +341,7 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     return SdrResult(
         phase=phase_out,
         min_sinr=value_out,
-        relaxed_value=max(lam_best, float(scores[best_idx]), init_value),
+        feasible_value=max(lam_best, float(scores[best_idx]), init_value),
         lifted=LiftedMatrix(v=v_best, alpha=alpha),
         iterations=iterations,
         inner_steps=inner_steps,

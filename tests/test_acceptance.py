@@ -16,15 +16,15 @@ import scipy.stats
 from ris_maxmin import (ExperimentPlan, QuantOptions, SystemConfig,
                         alternating_optimize, build_quadratic_forms,
                         effective_channel, effective_power_cap,
-                        finite_difference_tangent, grid_phase_from_uniform,
-                        lse_gradient_phase, max_min_power,
-                        optimal_beamformers, phase_grid,
+                        grid_phase_from_uniform, lse_gradient_phase,
+                        max_min_power, optimal_beamformers, phase_grid,
                         quantized_heuristic_phase, run_experiment,
                         sample_channel, sdr_dinkelbach_phase, sinr_per_user,
                         sinr_phase_tangent)
 from ris_maxmin.power import GainTable
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
+from oracles import finite_difference_tangent
 
 HEADLINE = SystemConfig(m=12, n=24, k=6)
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import (DomainError, LosAngleSet, PathLossModel, SystemConfig,
-                        dump_channel_text, load_channel_text,
-                        los_steering_matrix, path_loss, ris_correlation_sqrt,
-                        sample_channel, sample_los_angles,
-                        sample_user_positions)
+from ris_maxmin import DomainError, SystemConfig, sample_channel
+from ris_maxmin.channel import (LosAngleSet, PathLossModel, dump_channel_text,
+                                load_channel_text, los_steering_matrix,
+                                path_loss, ris_correlation_sqrt,
+                                sample_los_angles, sample_user_positions)
 
 
 def test_path_loss_unit_distance_cancellation():

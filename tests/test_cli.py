@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from ris_maxmin import CSV_COLUMNS, harness, load_channel_text
+from ris_maxmin import harness
+from ris_maxmin.channel import load_channel_text
+from ris_maxmin.harness import CSV_COLUMNS
 from ris_maxmin.cli import main
 
 CONFIG = """
@@ -35,6 +37,23 @@ def test_validate_bad_config(tmp_path, capsys):
     bad.write_text("m: 3\nwhat: 1\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("max_sweeps: 0", "max_sweeps"), ("tol: -1", "tol"), ("tol: nan", "tol"),
+    ("quant_window: 0", "quant_window"), ("k_grid: 0", "k_grid"), ("m_grid: 0", "m_grid"),
+    ("n_grid: 0", "n_grid"), ("b_grid: 0", "b_grid"), ("b_grid: 18", "b_grid"),
+    ("b_grid: 40", "b_grid"), ("quant_epsilon: 0", "quant_epsilon"), ("n_rand: -1", "n_rand"),
+])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, line, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    out = tmp_path / "results.csv"
+    assert main(["run", str(bad), "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
 
 
 def test_validate_missing_file(tmp_path, capsys):

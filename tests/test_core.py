@@ -4,7 +4,8 @@ import pytest
 
 from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
                         PhaseVector, PowerAllocation, SinrReport, SystemConfig,
-                        effective_channel, noise_power, sinr_per_user)
+                        effective_channel, sinr_per_user)
+from ris_maxmin.core import noise_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_maxmin import (CSV_COLUMNS, ConfigurationError, dump_config,
-                        load_config, parse_config_text, run_experiment)
-from ris_maxmin.harness import CONFIG_KEYS, derive_trial_seed, records_to_csv_text
+import ris_maxmin
+from ris_maxmin import ConfigurationError, run_experiment
+from ris_maxmin.harness import (CONFIG_KEYS, CSV_COLUMNS, derive_trial_seed,
+                                dump_config, load_config, parse_config_text,
+                                records_to_csv_text)
 
 MINIMAL = """
 m: 4
@@ -101,6 +103,12 @@ def test_bad_method_rejected():
         parse_config_text(MINIMAL + "methods: lse, genie\n")
 
 
+def test_b_grid_bound_follows_the_quant_budget():
+    # one swap tries all 2^B levels, so 2^B must fit QUANT_MAX_EVALS = 200,000
+    _, plan = parse_config_text(MINIMAL + "b_grid: 1, 17\n")
+    assert plan.b_grid == (1, 17)
+
+
 def test_round_trip(tmp_path):
     for source in (SMALL_PLAN, ALL_KEYS):
         config, plan = parse_config_text(source)
@@ -125,6 +133,13 @@ def test_readme_config_example_parses():
     config, plan = parse_config_text(block)
     assert plan.b_grid == (1, 2, 3)
     assert plan.quant_window == 50
+
+
+def test_readme_lists_the_public_api():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Public API"):]
+    documented = set(re.findall(r"`([A-Za-z_]+)`", section))
+    assert documented == set(ris_maxmin.__all__) - {"__version__"}
 
 
 def test_trial_seed_mixing_is_stable_and_distinct():

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 
 import ris_maxmin.beamforming as beamforming
 import ris_maxmin.power as power
-from ris_maxmin import (ChannelRealization, LseOptions, PhaseVector,
-                        SystemConfig, alternating_optimize, effective_channel,
-                        effective_power_cap, max_min_sinr_tangent,
-                        mmse_max_min_power, optimal_beamformers,
+from ris_maxmin import (ChannelRealization, PhaseVector, SystemConfig,
+                        alternating_optimize, effective_channel,
+                        effective_power_cap, optimal_beamformers,
                         sample_channel)
-from ris_maxmin.beamforming import post_bf_sinr_values
-from ris_maxmin.phase import _derivative_terms
+from ris_maxmin.phase import LseOptions, _derivative_terms, max_min_sinr_tangent
+from ris_maxmin.power import mmse_max_min_power
 
 from conftest import complex_normal
 
@@ -104,7 +103,7 @@ def test_kernel_matches_per_user_oracle(seed, m, k, log_sinr, zero_user):
 
     with mock.patch.object(beamforming, "interference_cholesky",
                            wraps=beamforming.interference_cholesky) as fallback:
-        state = beamforming._mmse_state(g, p, sigma2)
+        state = beamforming.post_bf_sinr_values(g, p, sigma2)
     # the slack 1/(1+SINR) is below SLACK_FALLBACK exactly above SINR 1/SLACK_FALLBACK - 1
     if sinr.max() > 2.0 / beamforming.SLACK_FALLBACK:
         assert fallback.call_count == 1
@@ -114,7 +113,6 @@ def test_kernel_matches_per_user_oracle(seed, m, k, log_sinr, zero_user):
     assert np.all(np.abs(state.sinr - sinr) <= RTOL * sinr)
     assert_rows_close(state.couplings, couplings, RTOL)
     assert_rows_close(state.directions.T, directions.T, RTOL)
-    assert np.array_equal(post_bf_sinr_values(g, p, sigma2), state.sinr)
 
     deriv, deriv_sinr, deriv_couplings = _derivative_terms(chan, g, p, phase, sigma2)
     assert_rows_close(deriv, derivative_oracle(chan, g, p, phase, sigma2), RTOL)
@@ -140,7 +138,7 @@ def test_fallback_rescues_the_cancelled_slack():
     assert sinr[0] > 1e7
     with mock.patch.object(beamforming, "interference_cholesky",
                            wraps=beamforming.interference_cholesky) as fallback:
-        state = beamforming._mmse_state(g, p, 1.0)
+        state = beamforming.post_bf_sinr_values(g, p, 1.0)
     assert fallback.call_count == 1
     assert abs(state.sinr[0] / sinr[0] - 1.0) <= RTOL
 
@@ -177,7 +175,7 @@ def _cold_and_warm_steps(monkeypatch):
 
 
 def test_mmse_fixed_point_stops_well_before_the_budget(monkeypatch):
-    """The 1e-14 stop rule fires in tens of steps, not at FIXED_POINT_MAX_ITER."""
+    """The balance stop rule fires in tens of steps, not at FIXED_POINT_MAX_ITER."""
     steps = sum(_cold_and_warm_steps(monkeypatch), [])
     assert max(steps) <= 50, steps
 

@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_maxmin import (DomainError, build_quadratic_forms, effective_channel,
-                        lse_objective, sinr_per_user)
+                        sinr_per_user)
+from ris_maxmin.phase import QuadraticFormSet, lse_objective
 
-from conftest import random_beamformer, random_phase, synth_channel
+from conftest import complex_normal, random_beamformer, random_phase, synth_channel
+from oracles import lifted_sinr, rank_one
 
 
 def test_scalar_collapse_single_element(rng):
@@ -40,7 +43,7 @@ def test_sinr_matches_direct_evaluation(rng):
         p = rng.uniform(0.1, 1.0, 3)
         forms = build_quadratic_forms(chan, bf, p, 1.2)
         direct = sinr_per_user(chan, phase, p, bf, 1.2).per_user
-        assert np.abs(forms.sinr(phase.phi_vec) - direct).max() < 1e-10 * max(1.0, direct.max())
+        assert np.abs(forms.sinr_batch(phase.phi_vec) - direct).max() < 1e-10 * max(1.0, direct.max())
 
 
 def test_batch_matches_single(rng):
@@ -50,7 +53,32 @@ def test_batch_matches_single(rng):
     phis = np.stack([random_phase(rng, 4).phi for _ in range(7)], axis=1)
     batch = forms.sinr_batch(phis)
     for c in range(7):
-        assert np.allclose(batch[:, c], forms.sinr(phis[:, c]), rtol=1e-12)
+        assert np.allclose(batch[:, c], forms.sinr_batch(phis[:, c]), rtol=1e-12)
+
+
+def test_sinr_batch_keeps_a_high_sinr_users_interference(rng):
+    """At SINR about 1e9 each user's interference is summed over the other
+    users, not left over from subtracting its signal, so every SINR of a
+    batch holds 1e-12 of a 40-digit reference on the same pair vectors."""
+    k, n = 3, 5
+    pair = complex_normal(rng, (k, k, n))
+    pair[np.arange(k), np.arange(k)] *= 5e4
+    forms = QuadraticFormSet(pair_vectors=pair, noise=rng.uniform(0.05, 0.1, k),
+                             powers=rng.uniform(0.5, 1.0, k))
+    phis = 0.9 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, 4)))
+    batch = forms.sinr_batch(phis)
+    with mpmath.workdps(40):
+        for c in range(phis.shape[1]):
+            single = forms.sinr_batch(phis[:, c])
+            for i in range(k):
+                gains = [abs(mpmath.fsum(mpmath.conj(mpmath.mpc(v)) * mpmath.mpc(u)
+                                         for v, u in zip(pair[i, j], phis[:, c]))) ** 2
+                         for j in range(k)]
+                interference = mpmath.fsum(forms.powers[j] * gains[j] for j in range(k) if j != i)
+                expected = forms.powers[i] * gains[i] / (interference + forms.noise[i])
+                assert 1e8 < expected < 1e11
+                assert abs(batch[i, c] - expected) <= 1e-12 * expected
+                assert abs(single[i] - expected) <= 1e-12 * expected
 
 
 def test_lifted_matches_rank_one(rng):
@@ -59,7 +87,7 @@ def test_lifted_matches_rank_one(rng):
     forms = build_quadratic_forms(chan, bf, np.array([0.5, 0.8]), 1.0)
     phase = random_phase(rng, 4, alpha=0.7)
     u = phase.phi_vec
-    assert np.allclose(forms.lifted_sinr(np.outer(u, u.conj())), forms.sinr(u), rtol=1e-10)
+    assert np.allclose(lifted_sinr(forms, np.outer(u, u.conj())), forms.sinr_batch(u), rtol=1e-10)
 
 
 def test_rank_one_matrices_psd(rng):
@@ -67,7 +95,7 @@ def test_rank_one_matrices_psd(rng):
     bf = random_beamformer(rng, 2, 3)
     forms = build_quadratic_forms(chan, bf, np.ones(2), 1.0)
     for k in range(2):
-        r = forms.rank_one(k)
+        r = rank_one(forms, k)
         assert np.abs(r - r.conj().T).max() < 1e-12
         eigs = np.linalg.eigvalsh(r)
         assert eigs.min() > -1e-12

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ris_maxmin import (LseOptions, PhaseVector, effective_channel,
-                        finite_difference_tangent, lse_gradient_phase,
-                        lse_max_min_phase, max_min_sinr_tangent,
-                        mmse_max_min_power, post_bf_sinr,
-                        sinr_phase_derivative, sinr_phase_tangent)
+from ris_maxmin import (PhaseVector, effective_channel, lse_gradient_phase,
+                        sinr_phase_tangent)
+from ris_maxmin.phase import (LseOptions, lse_max_min_phase,
+                              max_min_sinr_tangent, sinr_phase_derivative)
+from ris_maxmin.power import mmse_max_min_power
 
 from conftest import random_phase, synth_channel
+from oracles import finite_difference_tangent, post_bf_sinr
 
 
 def relative_gradient_error(tangent, fd):

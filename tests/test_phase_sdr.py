@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ris_maxmin import (ConfigurationError, LiftedMatrix,
-                        build_quadratic_forms, sdr_dinkelbach_phase)
-from ris_maxmin.sdr import INNER_ITERS, _LevelModel
+from ris_maxmin import (ConfigurationError, build_quadratic_forms,
+                        sdr_dinkelbach_phase)
+from ris_maxmin.sdr import INNER_ITERS, LiftedMatrix, _LevelModel
 
 from conftest import random_beamformer, random_phase, synth_channel
 
@@ -45,7 +45,7 @@ def test_never_worse_than_init_and_bounded_by_relaxation(rng):
         before = forms.min_sinr(init.phi_vec)
         out = sdr_dinkelbach_phase(forms, 1.0, init, rng)
         assert out.min_sinr >= before - 1e-12
-        assert out.min_sinr <= out.relaxed_value + 1e-6
+        assert out.min_sinr <= out.feasible_value + 1e-6
         assert forms.min_sinr(out.phase.phi_vec) == pytest.approx(out.min_sinr, rel=1e-9)
 
 
@@ -57,13 +57,13 @@ def test_lifted_output_satisfies_invariants(rng):
     assert np.linalg.eigvalsh(v).min() > -1e-8
 
 
-def test_relaxed_value_dominates_random_probes(rng):
+def test_feasible_value_dominates_random_probes(rng):
     for _ in range(5):
         forms = build_forms(rng, 3, 4, 2)
         out = sdr_dinkelbach_phase(forms, 1.0, random_phase(rng, 4), rng)
         probes = np.exp(1j * rng.uniform(0, 2 * np.pi, (50, 4)))
         probe_best = forms.sinr_batch(probes.T).min(axis=0).max()
-        assert out.relaxed_value >= probe_best - 1e-9
+        assert out.feasible_value >= probe_best - 1e-9
 
 
 def test_two_element_grid_oracle(rng):
@@ -120,7 +120,7 @@ def test_inner_ascents_stop_on_evidence():
     assert out.early_stops > 0
     assert out.inner_steps < INNER_ITERS * ascents
     assert out.min_sinr >= before - 1e-12
-    assert out.min_sinr <= out.relaxed_value + 1e-6
+    assert out.min_sinr <= out.feasible_value + 1e-6
     v = out.lifted.v
     assert np.abs(np.diagonal(v).real - 0.81).max() < 1e-8
     assert np.linalg.eigvalsh(v).min() > -1e-8

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_maxmin import (DomainError, GainTable, PhaseVector, SystemConfig,
-                        effective_channel, effective_power_cap, gain_table,
-                        max_min_power, mmse_max_min_power, post_bf_sinr,
+                        effective_channel, effective_power_cap, max_min_power,
                         sample_channel)
 from ris_maxmin import power
 from ris_maxmin.beamforming import post_bf_sinr_values
+from ris_maxmin.power import gain_table, mmse_max_min_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
+from oracles import post_bf_sinr
 
 ORACLE_MAX_ITER = 20000
+ORACLE_STEP_RTOL = 1e-14
 ORACLE_ATOL = 1e-10
 
 
@@ -270,13 +272,14 @@ def test_mmse_tau_is_what_the_powers_reach_when_the_budget_runs_out(monkeypatch)
 def _mmse_fixed_point(g, cap, sigma2):
     """Oracle for mmse_max_min_power: the tau of the normalized fixed point
     p <- I(p) / max_k(I_k(p) / cap_k), run from the caps with the library's
-    stop rule and budget; tau is the minimum SINR at the last powers factored."""
+    budget until no power moves by more than ORACLE_STEP_RTOL of its cap;
+    tau is the minimum SINR at the last powers factored."""
     p = cap.copy()
     for _ in range(power.FIXED_POINT_MAX_ITER):
-        sinr = post_bf_sinr_values(g, p, sigma2)
+        sinr = post_bf_sinr_values(g, p, sigma2).sinr
         interference = p / sinr
         p_new = np.minimum(cap, interference / np.max(interference / cap))
-        if np.max(np.abs(p_new - p) / cap) <= power.MMSE_FIXED_POINT_RTOL:
+        if np.max(np.abs(p_new - p) / cap) <= ORACLE_STEP_RTOL:
             break
         p = p_new
     return float(sinr.min())
@@ -303,7 +306,42 @@ def test_mmse_newton_steps_reach_the_fixed_point_optimum(problem):
     assert not result.degenerate
     assert result.tau >= oracle_tau * (1.0 - 1e-10)
     p = result.power.p
-    sinr = post_bf_sinr_values(g, p, sigma2)
+    sinr = post_bf_sinr_values(g, p, sigma2).sinr
     assert sinr.max() / sinr.min() - 1.0 <= 1e-10
     assert np.all(p <= cap)
     assert np.any(p == cap)
+
+
+def _scaled_mmse_problem(seed):
+    """A harder MMSE power problem: m = 1..12, k = 1..8, complex-normal
+    columns scaled by sqrt(10^U(-3, 2)), noise 10^U(-6, 0) and caps U(0.2, 1)."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+    g = complex_normal(rng, (m, k)) * np.sqrt(10 ** rng.uniform(-3, 2, k))
+    sigma2 = 10 ** rng.uniform(-6, 0)
+    return g, rng.uniform(0.2, 1.0, k), sigma2
+
+
+def test_mmse_power_step_stops_once_balanced_at_high_sinr(monkeypatch):
+    """At SINRs of 1e4 to 1e7 the eps * SINR rounding keeps every power step
+    above a fixed fraction of the cap long after the SINRs balance, so a stop
+    on the step size runs to FIXED_POINT_MAX_ITER; a stop on the balance
+    itself ends within a few factorizations."""
+    calls = []
+    original = power.post_bf_sinr_values
+
+    def counted(g, p, sigma2):
+        calls.append(1)
+        return original(g, p, sigma2)
+
+    monkeypatch.setattr(power, "post_bf_sinr_values", counted)
+    for seed in (20, 75, 132):
+        g, cap, sigma2 = _scaled_mmse_problem(seed)
+        calls.clear()
+        result = mmse_max_min_power(g, cap, sigma2)
+        sinr = result.mmse_state.sinr
+        assert sinr.min() > 1e4
+        assert len(calls) <= 20, (seed, len(calls))
+        assert sinr.max() / sinr.min() - 1.0 <= 1e-9
+        assert result.tau == sinr.min()
+        assert np.array_equal(original(g, result.power.p, sigma2).sinr, sinr)
