@@ -24,7 +24,7 @@ from .beamforming import optimal_beamformers
 from .core import (Beamformer, ChannelRealization, PhaseVector,
                    PowerAllocation, SinrReport, SystemConfig, sinr_per_user)
 from .errors import ConfigurationError
-from .phase import (LseOptions, QuantOptions, build_quadratic_forms,
+from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
                     quantized_heuristic_phase)
 from .power import effective_power_cap, gain_table, max_min_power
@@ -68,6 +68,9 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     improvement of the minimum SINR over one sweep drops below ``tol`` or
     after ``max_sweeps`` sweeps. Powers start at the exposure-folded cap so
     the first combiner update sees realistic interference.
+    ``phase_options`` applies to "sdr" (SdrOptions) and "quant"
+    (QuantOptions); the "lse" step has no settings, and "random-baseline"
+    runs no phase step.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -81,12 +84,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
         phase = grid_phase_from_uniform(rng.random(config.n), opts.bits, config.alpha)
     else:
         phase = PhaseVector.random(config.n, config.alpha, rng)
-        if method == "sdr":
-            opts = phase_options or SdrOptions()
-        elif method == "lse":
-            opts = phase_options or LseOptions()
-        else:
-            opts = None
+        opts = (phase_options or SdrOptions()) if method == "sdr" else None
 
     power = PowerAllocation(p_cap.copy())
     bf = optimal_beamformers(chan, phase, power, sigma2)
@@ -132,7 +130,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             if candidate >= current:
                 phase, current = out.phase, candidate
         elif method == "lse":
-            out = lse_max_min_phase(chan, phase, p_cap, sigma2, opts)
+            out = lse_max_min_phase(chan, phase, p_cap, sigma2)
             if out.warning:
                 diagnostics.append(f"sweep {sweeps}: {out.warning}")
             elif not out.converged:

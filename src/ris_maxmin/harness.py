@@ -25,7 +25,7 @@ from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
 from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
-from .phase import QUANT_MAX_EVALS, LseOptions, QuantOptions
+from .phase import QUANT_MAX_EVALS, QuantOptions
 from .sdr import SdrOptions
 
 
@@ -69,7 +69,7 @@ class ExperimentPlan:
         if any(not 1 <= b <= max_bits for b in self.b_grid):
             raise ConfigurationError(
                 f"b_grid entries must lie in 1..{max_bits}, so that one swap's 2^B levels fit "
-                f"the {QUANT_MAX_EVALS} evaluations of the quant budget; got {self.b_grid}")
+                f"the {QUANT_MAX_EVALS} levels tried of the quant budget; got {self.b_grid}")
 
 
 def _list_of(item):
@@ -275,8 +275,6 @@ def _phase_options(plan: ExperimentPlan, method: str, bits):
         return QuantOptions(bits=bits, window=plan.quant_window, epsilon=plan.quant_epsilon)
     if method == "sdr":
         return SdrOptions(n_rand=plan.n_rand)
-    if method == "lse":
-        return LseOptions()
     return None
 
 

@@ -1,5 +1,5 @@
-"""RIS phase optimization: quadratic-form machinery, the smooth-min gradient
-methods, and the quantized random-swap heuristic.
+"""RIS phase optimization: quadratic-form machinery, the smooth-min phase
+steps, and the quantized random-swap heuristic.
 
 Phases are scored under one of two combiner models, each with one
 evaluation path.
@@ -18,7 +18,11 @@ power split the set builds once; sdr's level model reads the same two.
 
 MMSE combiners (the ``lse`` steps): each candidate's effective channels go
 through beamforming.post_bf_sinr_values, whose one factorization also
-gives the couplings the phase derivative needs.
+gives the couplings the phase derivative needs. Both smooth-min steps run
+scipy's L-BFGS-B over the angles, with the same budget (LSE_MAX_ITERS) and
+tolerance (LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
+max-min SINR after power control, and lse_gradient_phase on the
+log-sum-exp surrogate of the SINRs at frozen powers.
 """
 
 from dataclasses import dataclass, field
@@ -218,28 +222,14 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     return -(weights @ _tangent(phase, deriv)), result
 
 
-LSE_GRAD_TOL = 1e-6         # largest gradient entry at which a step has converged
-LSE_STEP_INIT = 1.0         # frozen-power step's Armijo search: first step,
-LSE_STEP_SHRINK = 0.5       # shrink factor per backtrack,
-LSE_MAX_BACKTRACKS = 50     # backtracks before giving up,
-LSE_ARMIJO_C = 1e-4         # sufficient-decrease constant
-
-
-@dataclass(frozen=True)
-class LseOptions:
-    """Settings of the smooth-min phase steps that callers choose.
-
-    ``max_iters`` caps the iterations. The fixed settings are the module
-    constants LSE_GRAD_TOL, LSE_STEP_INIT, LSE_STEP_SHRINK,
-    LSE_MAX_BACKTRACKS and LSE_ARMIJO_C.
-    """
-
-    max_iters: int = 200
+LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step has converged
+LSE_MAX_ITERS = 200         # L-BFGS-B iterations per smooth-min phase step
 
 
 @dataclass
 class LseResult:
-    """Outcome of a smooth-min phase step.
+    """Outcome of a smooth-min phase step: the best phase seen, its minimum
+    SINR, and L-BFGS-B's iteration count and convergence flag.
 
     ``power`` holds the max-min powers that go with ``phase`` when the step
     re-optimizes them (lse_max_min_phase), and is None for the frozen-power
@@ -250,81 +240,50 @@ class LseResult:
     min_sinr: float
     iterations: int
     converged: bool
-    grad_norm: float
     warning: str | None = None
     power: PowerAllocation | None = None
 
 
 def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
-                       sigma2: float, options: LseOptions | None = None) -> LseResult:
-    """Projected gradient descent on the smooth-min surrogate over the angles.
+                       sigma2: float) -> LseResult:
+    """Smooth-min phase step with the powers frozen at ``powers``.
 
-    The powers stay frozen at ``powers``: this step minimizes lse_objective
-    of the post-combining SINRs those powers give, with Armijo
-    backtracking; the unit-modulus constraint is kept by working in the
-    angle parametrization and wrapping mod 2*pi. Returns the iterate with
-    the best minimum SINR seen, never worse than ``init``.
+    Runs L-BFGS-B over the angles on lse_objective of the post-combining
+    SINRs those powers give, whose gradient is
+    -(softmax(1/rho) / rho^2) @ sinr_phase_tangent, for at most
+    LSE_MAX_ITERS iterations, down to a projected gradient of LSE_GRAD_TOL.
+    Returns the iterate with the best minimum SINR seen, never worse than
+    ``init``.
     """
-    opts = options or LseOptions()
+    import scipy.optimize  # deferred, as in lse_max_min_phase
+
     p = _power_array(powers)
     alpha = init.alpha
-    theta = init.theta.copy()
-
-    def values(angles):
-        g = effective_channel(chan, PhaseVector(theta=angles, alpha=alpha))
-        return post_bf_sinr_values(g, p, sigma2).sinr
-
-    rho = values(theta)
+    rho = post_bf_sinr_values(effective_channel(chan, init), p, sigma2).sinr
     if np.any(rho <= 0):
-        return LseResult(init, float(rho.min()), 0, False, np.inf,
+        return LseResult(init, float(rho.min()), 0, False,
                          warning="degenerate SINR at the initial phase")
-    best_min, best_theta = float(rho.min()), theta.copy()
-    objective = lse_objective(rho)
+    best = {"min": float(rho.min()), "theta": init.theta}
 
-    converged = False
-    grad_norm = np.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        phase = PhaseVector(theta=theta, alpha=alpha)
-        tangent, rho = sinr_phase_tangent(chan, p, phase, sigma2)
+    def surrogate(theta):
+        tangent, rho = sinr_phase_tangent(chan, p, PhaseVector(theta=theta, alpha=alpha), sigma2)
+        if np.any(rho <= 0):
+            return np.inf, np.zeros_like(theta)
+        if rho.min() > best["min"]:
+            best.update(min=float(rho.min()), theta=theta.copy())
         inv = 1.0 / rho
         weights = np.exp(inv - inv.max())
         weights /= weights.sum()
-        grad = -(weights / rho ** 2) @ tangent
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < LSE_GRAD_TOL:
-            converged = True
-            break
+        return lse_objective(rho), -(weights / rho ** 2) @ tangent
 
-        step = LSE_STEP_INIT
-        gsq = float(grad @ grad)
-        accepted = False
-        for _ in range(LSE_MAX_BACKTRACKS):
-            theta_new = np.mod(theta - step * grad, TWO_PI)
-            rho_new = values(theta_new)
-            if np.all(rho_new > 0):
-                obj_new = lse_objective(rho_new)
-                if obj_new <= objective - LSE_ARMIJO_C * step * gsq:
-                    accepted = True
-                    break
-            step *= LSE_STEP_SHRINK
-        if not accepted:
-            break
-        theta, objective = theta_new, obj_new
-        if rho_new.min() > best_min:
-            best_min, best_theta = float(rho_new.min()), theta_new.copy()
-
-    return LseResult(
-        phase=PhaseVector(theta=best_theta, alpha=alpha),
-        min_sinr=best_min,
-        iterations=iterations,
-        converged=converged,
-        grad_norm=grad_norm,
-    )
+    out = scipy.optimize.minimize(surrogate, init.theta, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["min"],
+                     int(out.nit), bool(out.success))
 
 
 def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
-                      sigma2: float, options: LseOptions | None = None) -> LseResult:
+                      sigma2: float) -> LseResult:
     """Smooth-min phase step that re-optimizes the powers at every candidate.
 
     Maximizes tau(theta), the max-min SINR that mmse_max_min_power reaches
@@ -333,18 +292,17 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     smooth-min surrogate is maximizing tau; with the powers folded in, the
     surrogate no longer stalls where the frozen-power SINRs tie. Runs
     L-BFGS-B on -log(tau) over the angles with the gradient of
-    max_min_sinr_tangent, for at most ``max_iters`` iterations, down to a
+    max_min_sinr_tangent, for at most LSE_MAX_ITERS iterations, down to a
     projected gradient of LSE_GRAD_TOL. Returns the best phase seen with its
     max-min powers, never worse than ``init``.
     """
-    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only this step needs
+    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
 
-    opts = options or LseOptions()
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     alpha = init.alpha
     start = mmse_max_min_power(effective_channel(chan, init), cap, sigma2)
     if start.degenerate:
-        return LseResult(init, start.tau, 0, False, np.inf,
+        return LseResult(init, start.tau, 0, False,
                          warning="degenerate SINR at the initial phase", power=start.power)
 
     best = {"tau": start.tau, "theta": init.theta, "power": start.power}
@@ -359,15 +317,9 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
         return -np.log(result.tau), -grad / result.tau
 
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": opts.max_iters, "gtol": LSE_GRAD_TOL})
-    return LseResult(
-        phase=PhaseVector(theta=best["theta"], alpha=alpha),
-        min_sinr=best["tau"],
-        iterations=int(out.nit),
-        converged=bool(out.success),
-        grad_norm=float(np.max(np.abs(out.jac))),
-        power=best["power"],
-    )
+                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["tau"],
+                     int(out.nit), bool(out.success), power=best["power"])
 
 
 def phase_grid(bits: int) -> np.ndarray:
@@ -387,7 +339,7 @@ def grid_phase_from_uniform(u: np.ndarray, bits: int, alpha: float) -> PhaseVect
     return PhaseVector(theta=grid[idx], alpha=alpha)
 
 
-QUANT_MAX_EVALS = 200_000   # swap heuristic's budget; the window rule stops it first
+QUANT_MAX_EVALS = 200_000   # swap heuristic's trace-entry budget; the window rule stops it first
 
 
 @dataclass(frozen=True)
@@ -411,12 +363,16 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     """Random single-element swaps over the quantized phase grid.
 
     ``objective`` maps a unit-modulus complex vector to the minimum SINR.
-    Repeatedly pick a random element and try every grid level there, keeping
-    a swap only when the objective strictly increases. One history entry is
-    recorded per candidate evaluated; the search stops once the summed
-    improvement across the trailing window drops below ``epsilon``, which is
-    guaranteed to happen because strict improvements on a finite grid are
-    finite in number.
+    Repeatedly pick a random element and try every other grid level there,
+    keeping a swap only when the objective strictly increases.
+    ``tau_trace`` holds the initial value, then the best value so far after
+    each grid level of each picked element, its level at the pick (not
+    evaluated again) included; ``evaluations`` counts the objective calls
+    after the initial one. The search stops once the summed improvement
+    across the trailing ``window`` trace entries drops below ``epsilon``,
+    which is guaranteed to happen because strict improvements on a finite
+    grid are finite in number, or once the trace reaches QUANT_MAX_EVALS
+    entries.
     """
     opts = options or QuantOptions()
     if opts.window < 1:
@@ -430,14 +386,17 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     phi = np.exp(1j * grid[idx])
     current = float(objective(phi))
     trace = [current]
+    evaluations = 0
     warning = None
     while True:
         n = int(rng.integers(init.n))
+        held = idx[n]   # phi's level here; re-scoring it after a swap cannot beat that swap
         for level in range(q):
-            if level != idx[n]:
+            if level != held:
                 cand = phi.copy()
                 cand[n] = np.exp(1j * grid[level])
                 value = float(objective(cand))
+                evaluations += 1
                 # strict increase beyond roundoff of the phase arithmetic
                 if value > current * (1.0 + 1e-12):
                     idx[n] = level
@@ -455,7 +414,7 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     return QuantResult(
         phase=PhaseVector(theta=grid[idx], alpha=init.alpha),
         min_sinr=current,
-        evaluations=len(trace) - 1,
+        evaluations=evaluations,
         tau_trace=np.asarray(trace),
         warning=warning,
     )

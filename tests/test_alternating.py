@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ris_maxmin
 from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         alternating_optimize, effective_channel, sample_channel,
                         sinr_per_user)
+from ris_maxmin.alternating import METHODS
 from ris_maxmin.core import ChannelRealization
 
 SMALL = SystemConfig(m=4, n=6, k=3)
@@ -31,15 +38,17 @@ def test_single_user_collapses_to_matched_filter():
     assert sol.power.p[0] == pytest.approx(cap, rel=1e-9)
 
 
-@pytest.mark.parametrize("method", ["sdr", "lse", "quant", "random-baseline"])
+@pytest.mark.parametrize("method", METHODS)
 def test_stage_trace_monotone_and_consistent(method):
-    for seed in range(3):
-        chan = small_channel(100 + seed)
-        sol = alternating_optimize(SMALL, chan, method, np.random.default_rng(200 + seed))
-        minima = [v for _, v in sol.report.stage_trace]
-        assert all(b >= a for a, b in zip(minima, minima[1:]))
-        rep = sinr_per_user(chan, sol.phase, sol.power, sol.bf, SMALL.sigma2)
-        assert sol.report.minimum == pytest.approx(rep.minimum, rel=1e-9)
+    # SMALL has fewer users than antennas; the second config has more (k > m)
+    for cfg in (SMALL, SystemConfig(m=2, n=6, k=5)):
+        for seed in range(3):
+            chan = sample_channel(cfg, np.random.default_rng(100 + seed))
+            sol = alternating_optimize(cfg, chan, method, np.random.default_rng(200 + seed))
+            minima = [v for _, v in sol.report.stage_trace]
+            assert all(b >= a for a, b in zip(minima, minima[1:]))
+            rep = sinr_per_user(chan, sol.phase, sol.power, sol.bf, cfg.sigma2)
+            assert sol.report.minimum == pytest.approx(rep.minimum, rel=1e-9)
 
 
 def test_random_baseline_has_no_phase_stages():
@@ -50,12 +59,13 @@ def test_random_baseline_has_no_phase_stages():
 
 
 def test_powers_respect_effective_cap():
-    cfg = SystemConfig(m=3, n=5, k=2, sar_ref=63e-4, emf_max=0.0029)
+    cfg = SystemConfig(m=3, n=5, k=2, sar_ref=63e-4, emf_max=(0.0029, 0.0012))
     chan = sample_channel(cfg, np.random.default_rng(11))
-    sol = alternating_optimize(cfg, chan, "quant", np.random.default_rng(12))
-    cap = 0.0029 / 0.0063
-    assert np.all(sol.power.p <= cap + 1e-12)
-    assert np.allclose(sol.p_cap, cap)
+    cap = np.array([0.0029, 0.0012]) / 0.0063
+    for method in METHODS:
+        sol = alternating_optimize(cfg, chan, method, np.random.default_rng(12))
+        assert np.all(sol.power.p <= cap * (1 + 1e-12)), method
+        assert np.allclose(sol.p_cap, cap)
 
 
 def test_quant_respects_grid():
@@ -68,9 +78,10 @@ def test_quant_respects_grid():
 def test_degenerate_channel_flagged():
     chan = ChannelRealization(h1=np.zeros((4, 6)), ris_corr_sqrt=np.eye(6),
                               h2=np.ones((3, 6)), user_positions=np.zeros((3, 2)))
-    sol = alternating_optimize(SMALL, chan, "random-baseline", np.random.default_rng(1))
-    assert sol.degenerate
-    assert sol.report.minimum == 0.0
+    for method in METHODS:
+        sol = alternating_optimize(SMALL, chan, method, np.random.default_rng(1))
+        assert sol.degenerate, method
+        assert sol.report.minimum == 0.0
 
 
 def test_wall_time_and_iterations_recorded():
@@ -78,3 +89,24 @@ def test_wall_time_and_iterations_recorded():
     assert sol.wall_time > 0
     assert 1 <= sol.iterations <= 30
     assert sol.method == "lse"
+
+
+def test_only_lse_imports_scipy_optimize():
+    # scipy.optimize adds about 20 MB of RSS, so batch runs without lse skip it
+    script = """
+import sys
+import numpy as np
+from ris_maxmin import SystemConfig, alternating_optimize, sample_channel
+cfg = SystemConfig(m=3, n=4, k=2)
+chan = sample_channel(cfg, np.random.default_rng(0))
+for method in ("quant", "sdr", "random-baseline"):
+    alternating_optimize(cfg, chan, method, np.random.default_rng(1), max_sweeps=2)
+before = "scipy.optimize" in sys.modules
+alternating_optimize(cfg, chan, "lse", np.random.default_rng(1), max_sweeps=2)
+print(before, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(ris_maxmin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -23,7 +23,7 @@ from ris_maxmin import (ChannelRealization, PhaseVector, SystemConfig,
                         alternating_optimize, effective_channel,
                         effective_power_cap, optimal_beamformers,
                         sample_channel)
-from ris_maxmin.phase import LseOptions, _derivative_terms, max_min_sinr_tangent
+from ris_maxmin.phase import _derivative_terms, max_min_sinr_tangent
 from ris_maxmin.power import mmse_max_min_power
 
 from conftest import complex_normal
@@ -217,11 +217,11 @@ def test_max_min_tangent_reuses_the_fixed_point_factorization(monkeypatch):
         assert len(factorizations) == len(steps) > 0
 
 
-def test_unconverged_lse_step_is_reported():
+def test_unconverged_lse_step_is_reported(monkeypatch):
     cfg = SystemConfig(m=4, n=6, k=3)
     chan = sample_channel(cfg, np.random.default_rng(40))
-    sol = alternating_optimize(cfg, chan, "lse", np.random.default_rng(41),
-                               phase_options=LseOptions(max_iters=1))
+    monkeypatch.setattr("ris_maxmin.phase.LSE_MAX_ITERS", 1)
+    sol = alternating_optimize(cfg, chan, "lse", np.random.default_rng(41))
     unconverged = [d for d in sol.diagnostics if "lse phase step stopped unconverged" in d]
     assert unconverged
     assert unconverged[0].startswith("sweep 1: ")

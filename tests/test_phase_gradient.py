@@ -3,7 +3,7 @@ import pytest
 
 from ris_maxmin import (PhaseVector, effective_channel, lse_gradient_phase,
                         sinr_phase_tangent)
-from ris_maxmin.phase import (LseOptions, lse_max_min_phase,
+from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
                               max_min_sinr_tangent, sinr_phase_derivative)
 from ris_maxmin.power import mmse_max_min_power
 
@@ -100,7 +100,7 @@ def test_lse_gradient_stopping_contract(rng):
     phase = random_phase(rng, 4)
     p = rng.uniform(0.2, 1.0, 2)
     out = lse_gradient_phase(chan, p, phase, 1.0)
-    assert out.converged or out.iterations <= LseOptions().max_iters
+    assert out.converged or out.iterations <= LSE_MAX_ITERS
 
 
 def test_lse_max_min_phase_climbs_the_power_controlled_minimum(rng):

@@ -76,3 +76,18 @@ def test_two_element_one_bit_exhaustive(rng):
         assert out.min_sinr <= best * (1 + 1e-12)
         reached += out.min_sinr >= best * (1 - 1e-12)
     assert reached >= 90
+
+
+def test_evaluations_count_objective_calls(rng):
+    _, objective = make_objective(rng, 3, 5, 3)
+    calls = []
+
+    def counted(phi):
+        calls.append(1)
+        return objective(phi)
+
+    for bits in (1, 2, 3):
+        calls.clear()
+        init = grid_phase_from_uniform(rng.random(5), bits, 1.0)
+        out = quantized_heuristic_phase(counted, init, rng, QuantOptions(bits=bits))
+        assert out.evaluations == len(calls) - 1 > 0
