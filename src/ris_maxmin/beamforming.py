@@ -17,13 +17,17 @@ s_k = 1 - p_k q_k = 1 / (1 + SINR_k):
 At high SINR the slack cancels, so a user whose slack falls below
 SLACK_FALLBACK takes these quantities from its own factorization of
 S_k + sigma2*I, summed over the other users (``interference_cholesky``).
-Both matrices are Hermitian positive definite by construction.
+Both matrices are Hermitian positive definite by construction. The
+shared factorization and solve call LAPACK's zpotrf and zpotrs directly,
+the routines scipy.linalg.cho_factor and cho_solve reach: at these sizes
+the wrappers' argument handling costs more than the algebra.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .core import (Beamformer, ChannelRealization, PhaseVector, _power_array,
                    effective_channel)
@@ -85,11 +89,10 @@ def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseSta
         raise NumericError("effective channel contains non-finite entries")
     a = (g * p) @ g.conj().T
     a.flat[::m + 1] += sigma2
-    try:
-        factor = sla.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("interference-plus-noise matrix is not positive definite") from exc
-    x = sla.cho_solve(factor, g, check_finite=False)
+    factor, info = lapack.zpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NumericError("interference-plus-noise matrix is not positive definite")
+    x, _ = lapack.zpotrs(factor, g, lower=1)
     gram = g.conj().T @ x
     q = gram.diagonal().real
     slack = 1.0 - p * q

@@ -99,13 +99,15 @@ class ChannelRealization:
     ``h1``: (m, n) BS-RIS matrix. ``ris_corr_sqrt``: (n, n) square root of
     the RIS spatial correlation matrix. ``h2``: (k, n), row ``i`` is the
     RIS-to-user-``i`` channel with its amplitude path loss absorbed.
-    ``user_positions``: (k, 2) planar coordinates in metres.
+    ``user_positions``: (k, 2) planar coordinates in metres. ``cascade``
+    is the (m, n) product h1 @ ris_corr_sqrt, formed once here.
     """
 
     h1: np.ndarray
     ris_corr_sqrt: np.ndarray
     h2: np.ndarray
     user_positions: np.ndarray
+    cascade: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h1", np.asarray(self.h1, dtype=complex))
@@ -124,6 +126,7 @@ class ChannelRealization:
         for name in ("h1", "ris_corr_sqrt", "h2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "cascade", self.h1 @ self.ris_corr_sqrt)
 
     @property
     def m(self) -> int:
@@ -139,7 +142,7 @@ class ChannelRealization:
 
     def cascade_matrix(self) -> np.ndarray:
         """The (m, n) product h1 @ ris_corr_sqrt shared by every optimizer."""
-        return self.h1 @ self.ris_corr_sqrt
+        return self.cascade
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,12 +22,17 @@ gives the couplings the phase derivative needs. Both smooth-min steps run
 scipy's L-BFGS-B over the angles, with the same budget (LSE_MAX_ITERS) and
 tolerance (LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
 max-min SINR after power control, and lse_gradient_phase on the
-log-sum-exp surrogate of the SINRs at frozen powers.
+log-sum-exp surrogate of the SINRs at frozen powers. For the former,
+max_min_sinr_tangent's one solve of the power step's balance system gives
+both the gradient of tau and the slope of the max-min powers, and that
+slope at the best phase so far predicts where each candidate's power step
+starts.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
@@ -188,21 +193,26 @@ def sinr_phase_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
 
 def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
                          sigma2: float, start=None):
-    """Gradient over the angles of the max-min SINR that power control leaves.
+    """Gradient over the angles of the max-min SINR that power control leaves,
+    and the slope of the max-min powers.
 
     tau(theta) is the common SINR of mmse_max_min_power at phase theta. There
     every SINR equals tau and the binding user b sits at its cap, so
     sinr_j(theta, p) = tau for all j defines tau and the other powers
     implicitly. Differentiating gives
 
-        grad tau = sum_j w_j grad sinr_j / sum_j w_j
+        S @ X = -d sinr / d theta,
 
-    with w the left null vector of d sinr / d p once column b is removed;
-    d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the diagonal,
-    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i: the system the power
-    step's Newton iteration solves (power._balance_system). Returns
-    (gradient, the power-control result); ``start`` warm-starts the power
-    step. The gradient is zero when the power step is degenerate.
+    where S is the Jacobian of the balance equations in (p without p_b,
+    tau): d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the
+    diagonal, with c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i, and column b
+    holding tau's -1 (power._balance_system, the system the power step's
+    Newton iteration solves). One solve with the n angles as right-hand
+    sides gives both answers: row b of X is grad tau, and the other rows are
+    d p_i / d theta. Returns (gradient, the power-control result, the (k, n)
+    power slope with row b zero, since p_b stays at its cap); ``start``
+    warm-starts the power step. Gradient and slope are zero when the power
+    step is degenerate.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
@@ -210,16 +220,27 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     g = effective_channel(chan, phase)
     result = mmse_max_min_power(g, cap, sigma2, start)
     if result.degenerate:
-        return np.zeros(phase.n), result
+        return np.zeros(phase.n), result, np.zeros((cap.size, phase.n))
     p = result.power.p
     # the power step returns the factorization it took at this very (g, p*)
     deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2, result.mmse_state)
     binding = int(np.argmax(p / cap))
-    # the balance system maps (dp without dp_b, dtau) onto the SINR changes;
-    # the row of its inverse that yields dtau (row b) is -w / sum(w)
-    system = _balance_system(couplings, p, binding)
-    weights = np.linalg.solve(system.T, np.eye(p.size)[binding])
-    return -(weights @ _tangent(phase, deriv)), result
+    *_, sensitivity, info = lapack.dgesv(_balance_system(couplings, p, binding),
+                                         -_tangent(phase, deriv))
+    if info != 0:
+        raise np.linalg.LinAlgError("balance system of the max-min powers is singular")
+    gradient = sensitivity[binding].copy()
+    sensitivity[binding] = 0.0
+    return gradient, result, sensitivity
+
+
+def _predicted_start(p: np.ndarray, slope: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """First-order max-min powers a phase ``step`` away from the powers ``p``
+    whose slope over the angles is ``slope`` (max_min_sinr_tangent); the step
+    is wrapped into [-pi, pi). Falls back to ``p`` when a predicted power is
+    not positive."""
+    predicted = p + slope @ (np.mod(step + np.pi, TWO_PI) - np.pi)
+    return predicted if np.all(predicted > 0.0) else p
 
 
 LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step has converged
@@ -293,27 +314,32 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     surrogate no longer stalls where the frozen-power SINRs tie. Runs
     L-BFGS-B on -log(tau) over the angles with the gradient of
     max_min_sinr_tangent, for at most LSE_MAX_ITERS iterations, down to a
-    projected gradient of LSE_GRAD_TOL. Returns the best phase seen with its
-    max-min powers, never worse than ``init``.
+    projected gradient of LSE_GRAD_TOL. Each candidate's power step starts
+    from the first-order prediction p_best + (dp/dtheta) (theta - theta_best)
+    at the best phase so far, from the slope that the same tangent solve
+    gives (_predicted_start); the start changes the step count, not tau.
+    Returns the best phase seen with its max-min powers, never worse than
+    ``init``.
     """
     import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
 
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     alpha = init.alpha
-    start = mmse_max_min_power(effective_channel(chan, init), cap, sigma2)
+    _, start, slope = max_min_sinr_tangent(chan, init, cap, sigma2)
     if start.degenerate:
         return LseResult(init, start.tau, 0, False,
                          warning="degenerate SINR at the initial phase", power=start.power)
 
-    best = {"tau": start.tau, "theta": init.theta, "power": start.power}
+    best = {"tau": start.tau, "theta": init.theta, "power": start.power, "slope": slope}
 
     def neg_log_tau(theta):
-        grad, result = max_min_sinr_tangent(chan, PhaseVector(theta=theta, alpha=alpha),
-                                            cap, sigma2, start=best["power"].p)
+        guess = _predicted_start(best["power"].p, best["slope"], theta - best["theta"])
+        grad, result, slope = max_min_sinr_tangent(chan, PhaseVector(theta=theta, alpha=alpha),
+                                                   cap, sigma2, start=guess)
         if result.tau <= 0.0:
             return np.inf, np.zeros_like(theta)
         if result.tau > best["tau"]:
-            best.update(tau=result.tau, theta=theta.copy(), power=result.power)
+            best.update(tau=result.tau, theta=theta.copy(), power=result.power, slope=slope)
         return -np.log(result.tau), -grad / result.tau
 
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",

@@ -20,8 +20,9 @@ that equalizes every SINR at the largest common value tau with the binding
 user b at its cap. It solves the balance equations sinr(p) = tau * 1 in the
 unknowns (p without p_b, tau) by Newton steps, whose Jacobian
 (``_balance_system``) comes from the couplings of the factorization that
-already gave the SINRs. A step that cannot be trusted is replaced by one
-step of the normalized fixed point
+already gave the SINRs; phase.max_min_sinr_tangent solves the same
+system for the slopes of tau and of the powers over the phases. A step
+that cannot be trusted is replaced by one step of the normalized fixed point
 
     p <- I(p) / max_k(I_k(p) / cap_k),
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
 from .core import ChannelRealization, PhaseVector, PowerAllocation, _bf_matrix, effective_channel
@@ -146,10 +148,9 @@ def _newton_powers(state, p: np.ndarray, cap: np.ndarray):
     power would not stay positive."""
     binding = int(np.argmax(p / cap))
     # the tau entry absorbs any common target, so aim at the smallest SINR
-    try:
-        step = np.linalg.solve(_balance_system(state.couplings, p, binding),
-                               state.sinr.min() - state.sinr)
-    except np.linalg.LinAlgError:
+    *_, step, info = lapack.dgesv(_balance_system(state.couplings, p, binding),
+                                  state.sinr.min() - state.sinr)
+    if info != 0:
         return None
     step[binding] = 0.0
     p_new = p + step
@@ -162,7 +163,9 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
     """Max-min SINR powers under per-user caps when every user keeps its MMSE combiner.
 
     ``g`` is the (m, k) matrix of effective channels. From the positive
-    powers ``start`` (default: the caps), each step factors the current
+    powers ``start`` (default: the caps; phase.lse_max_min_phase passes the
+    first-order prediction from a nearby phase's powers, which changes the
+    step count, not the optimum), each step factors the current
     powers once and takes a Newton step on the balance equations. It takes
     a normalized fixed-point step instead when the Newton solve is singular,
     when a power would come out nonpositive, or when the previous step did

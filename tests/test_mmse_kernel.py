@@ -14,19 +14,22 @@ isolates the one cancellation the kernel adds, 1 - p_k q_k at high SINR.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ris_maxmin.beamforming as beamforming
+import ris_maxmin.phase as phase_module
 import ris_maxmin.power as power
-from ris_maxmin import (ChannelRealization, PhaseVector, SystemConfig,
-                        alternating_optimize, effective_channel,
+from ris_maxmin import (ChannelRealization, NumericError, PhaseVector,
+                        SystemConfig, alternating_optimize, effective_channel,
                         effective_power_cap, optimal_beamformers,
                         sample_channel)
-from ris_maxmin.phase import _derivative_terms, max_min_sinr_tangent
+from ris_maxmin.phase import (_derivative_terms, _predicted_start,
+                              lse_max_min_phase, max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
 
-from conftest import complex_normal
+from conftest import complex_normal, synth_channel
 
 RTOL = 1e-9
 
@@ -195,7 +198,7 @@ def test_max_min_tangent_reuses_the_fixed_point_factorization(monkeypatch):
     rng = np.random.default_rng(20240818)
     cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
     steps, factorizations = [], []
-    original_values, original_factor = power.post_bf_sinr_values, beamforming.sla.cho_factor
+    original_values, original_factor = power.post_bf_sinr_values, beamforming.lapack.zpotrf
 
     def counted_values(g, p, sigma2):
         steps.append(1)
@@ -206,15 +209,118 @@ def test_max_min_tangent_reuses_the_fixed_point_factorization(monkeypatch):
         return original_factor(*args, **kwargs)
 
     monkeypatch.setattr(power, "post_bf_sinr_values", counted_values)
-    monkeypatch.setattr(beamforming.sla, "cho_factor", counted_factor)
+    monkeypatch.setattr(beamforming.lapack, "zpotrf", counted_factor)
     for _ in range(4):
         chan = sample_channel(cfg, rng)
         phase = PhaseVector.random(cfg.n, cfg.alpha, rng)
         steps.clear()
         factorizations.clear()
-        _, result = max_min_sinr_tangent(chan, phase, cap, cfg.sigma2)
+        _, result, _ = max_min_sinr_tangent(chan, phase, cap, cfg.sigma2)
         assert result.mmse_state is not None
         assert len(factorizations) == len(steps) > 0
+
+
+def test_lse_tau_evaluations_start_from_the_predicted_powers(monkeypatch):
+    """Inside lse_max_min_phase each tau evaluation starts from the best
+    phase's powers moved along their slope, and on 8 headline draws factors
+    at most 3.2 operating points on average (3.72 when each starts from the
+    best phase's powers alone)."""
+    cfg = SystemConfig(m=12, n=24, k=6)
+    rng = np.random.default_rng(20240819)
+    cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
+    steps, evaluations = [], []
+    original_values, original_power = power.post_bf_sinr_values, phase_module.mmse_max_min_power
+
+    def counted_values(g, p, sigma2):
+        steps.append(1)
+        return original_values(g, p, sigma2)
+
+    def counted_power(*args, **kwargs):
+        evaluations.append(1)
+        return original_power(*args, **kwargs)
+
+    monkeypatch.setattr(power, "post_bf_sinr_values", counted_values)
+    monkeypatch.setattr(phase_module, "mmse_max_min_power", counted_power)
+    for _ in range(8):
+        chan = sample_channel(cfg, rng)
+        out = lse_max_min_phase(chan, PhaseVector.random(cfg.n, cfg.alpha, rng), cap, cfg.sigma2)
+        assert out.warning is None
+    assert len(steps) / len(evaluations) <= 3.2, (len(steps), len(evaluations))
+
+
+def test_kernel_rejects_a_non_finite_channel():
+    g = complex_normal(np.random.default_rng(7), (4, 3))
+    g[2, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        beamforming.post_bf_sinr_values(g, np.ones(3), 1.0)
+
+
+def test_kernel_rejects_an_indefinite_matrix():
+    """A negative power makes A = sum_i p_i g_i g_i^H + sigma2*I indefinite,
+    which the factorization reports through its info code."""
+    g = complex_normal(np.random.default_rng(8), (4, 3))
+    with pytest.raises(NumericError, match="not positive definite"):
+        beamforming.post_bf_sinr_values(g, np.array([1.0, -50.0, 1.0]), 1.0)
+
+
+def test_singular_balance_system_takes_the_fixed_point_step(monkeypatch):
+    """With a singular balance system there is no Newton step: _newton_powers
+    returns None, every step is the normalized fixed point, and the call
+    still reaches the Newton optimum, with more factorizations. The tangent
+    cannot solve the same system and raises."""
+    rng = np.random.default_rng(9)
+    g = complex_normal(rng, (3, 4))
+    cap = rng.uniform(0.2, 1.0, 4)
+    newton = mmse_max_min_power(g, cap, 0.5)
+
+    calls = []
+    original = power.post_bf_sinr_values
+
+    def counted(g, p, sigma2):
+        calls.append(1)
+        return original(g, p, sigma2)
+
+    def singular(couplings, p, binding):
+        return np.zeros((p.size, p.size))
+
+    monkeypatch.setattr(power, "post_bf_sinr_values", counted)
+    monkeypatch.setattr(power, "_balance_system", singular)
+    assert power._newton_powers(newton.mmse_state, newton.power.p, cap) is None
+    calls.clear()
+    fixed_point = mmse_max_min_power(g, cap, 0.5)
+    assert fixed_point.tau == pytest.approx(newton.tau, rel=1e-9)
+    assert len(calls) > 8
+
+    monkeypatch.setattr(phase_module, "_balance_system", singular)
+    chan = synth_channel(rng, 3, 5, 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        max_min_sinr_tangent(chan, PhaseVector.random(5, 1.0, rng), cap, 0.5)
+
+
+def test_predicted_start_changes_the_steps_not_tau():
+    """tau warm-started from the first-order powers equals tau from a cold
+    start at the caps, for k = 1, k > m, per-user exposure caps, steps that
+    switch the binding user and a prediction that falls back to the powers."""
+    rng = np.random.default_rng(20240820)
+    seen = set()
+    for case in range(60):
+        m, k, n = int(rng.integers(1, 5)), 1 + case % 6, int(rng.integers(2, 8))
+        chan = synth_channel(rng, m, n, k, identity_corr=False)
+        phase = PhaseVector.random(n, float(rng.uniform(0.5, 1.0)), rng)
+        sar = rng.uniform(1e-3, 1e-2, k)
+        cap = effective_power_cap(1.0, sar, sar * rng.uniform(0.2, 2.0, k))
+        _, here, slope = max_min_sinr_tangent(chan, phase, cap, 1.0)
+        moved = PhaseVector(theta=phase.theta + 10 ** rng.uniform(-4, 0) * rng.standard_normal(n),
+                            alpha=phase.alpha)
+        start = _predicted_start(here.power.p, slope, moved.theta - phase.theta)
+        g = effective_channel(chan, moved)
+        warm = mmse_max_min_power(g, cap, 1.0, start=start)
+        cold = mmse_max_min_power(g, cap, 1.0)
+        assert abs(warm.tau / cold.tau - 1.0) <= 1e-9, (case, warm.tau, cold.tau)
+        cases = {"k=1": k == 1, "k>m": k > m, "fallback": start is here.power.p,
+                 "switch": np.argmax(here.power.p / cap) != np.argmax(cold.power.p / cap)}
+        seen.update(name for name, hit in cases.items() if hit)
+    assert seen == {"k=1", "k>m", "switch", "fallback"}
 
 
 def test_unconverged_lse_step_is_reported(monkeypatch):

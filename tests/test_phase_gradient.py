@@ -39,20 +39,24 @@ def test_max_min_tangent_matches_finite_differences(rng):
         chan = synth_channel(rng, m, n, k, identity_corr=False)
         phase = random_phase(rng, n, alpha=float(rng.uniform(0.5, 1.0)))
         caps = rng.uniform(0.2, 1.0, k)
-        grad, result = max_min_sinr_tangent(chan, phase, caps, 1.0)
+        grad, result, slope = max_min_sinr_tangent(chan, phase, caps, 1.0)
         binding_users.add((k, int(np.argmax(result.power.p / caps))))
 
-        def tau(theta):
+        def power_step(theta):
             g = effective_channel(chan, PhaseVector(theta=theta, alpha=phase.alpha))
-            return mmse_max_min_power(g, caps, 1.0).tau
+            return mmse_max_min_power(g, caps, 1.0)
 
-        fd = np.zeros(n)
+        fd, fd_slope = np.zeros(n), np.zeros((k, n))
         for i in range(n):
             hi, lo = phase.theta.copy(), phase.theta.copy()
             hi[i] += 1e-6
             lo[i] -= 1e-6
-            fd[i] = (tau(hi) - tau(lo)) / 2e-6
+            up, down = power_step(hi), power_step(lo)
+            fd[i] = (up.tau - down.tau) / 2e-6
+            fd_slope[:, i] = (up.power.p - down.power.p) / 2e-6
         assert relative_gradient_error(grad[None, :], fd[None, :]).max() < 1e-5
+        # the same solve gives the slope of the max-min powers
+        assert relative_gradient_error(slope, fd_slope).max() < 1e-5
     # the caps differ, so the binding user is not always the first one
     assert any(user > 0 for _, user in binding_users)
 
