@@ -10,7 +10,7 @@ else is reached through its module.
 from .alternating import Solution, alternating_optimize
 from .beamforming import optimal_beamformers
 from .channel import sample_channel
-from .core import (Beamformer, ChannelRealization, PhaseVector,
+from .core import (Beamformer, ChannelRealization, GainTable, PhaseVector,
                    PowerAllocation, SinrReport, SystemConfig,
                    effective_channel, sinr_per_user)
 from .errors import ConfigurationError, DomainError, NumericError
@@ -18,7 +18,7 @@ from .harness import ExperimentPlan, run_experiment
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_gradient_phase, phase_grid,
                     quantized_heuristic_phase, sinr_phase_tangent)
-from .power import GainTable, effective_power_cap, max_min_power
+from .power import effective_power_cap, max_min_power
 from .sdr import sdr_dinkelbach_phase
 
 __version__ = "0.1.0"

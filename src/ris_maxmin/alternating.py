@@ -3,16 +3,20 @@
 Each sweep runs the three block updates in that order. Every stage is
 guarded: an update is kept only if the minimum SINR of the current operating
 point does not decrease, so the recorded stage trace is nondecreasing by
-construction.
+construction. Every operating point is scored once, by GainTable.sinr on
+its own gain table: the loop keeps the table of the current phases and
+combiners, and the power step solves on it and reports the minimum its
+powers reach there. The phase step of every method returns one proposal
+(phases, powers, combiners) that one guard judges.
 
 The smooth-min phase step ("lse") does not hold the powers fixed. With the
 powers frozen, power control leaves every SINR equal, and at such a tie no
 phase move raises the minimum; the loop would stall at a point that is not
 stationary for the joint problem. So the step maximizes tau(theta), the
 max-min SINR that power control reaches under the caps with MMSE
-combiners, and commits the new phases together with those powers and
+combiners, and proposes the new phases together with those powers and
 combiners. The other phase methods optimize the fixed-combiner,
-fixed-power objective directly.
+fixed-power objective directly and propose new phases alone.
 """
 
 import time
@@ -22,13 +26,14 @@ import numpy as np
 
 from .beamforming import optimal_beamformers
 from .core import (Beamformer, ChannelRealization, PhaseVector,
-                   PowerAllocation, SinrReport, SystemConfig, sinr_per_user)
+                   PowerAllocation, SinrReport, SystemConfig, gain_table,
+                   sinr_per_user)
 from .errors import ConfigurationError
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
                     quantized_heuristic_phase)
-from .power import effective_power_cap, gain_table, max_min_power
-from .sdr import SdrOptions, sdr_dinkelbach_phase
+from .power import effective_power_cap, max_min_power
+from .sdr import sdr_dinkelbach_phase
 
 METHODS = ("sdr", "lse", "quant", "random-baseline")
 SWEEP_TOL = 1e-4        # default relative improvement per sweep that stops the loop
@@ -52,8 +57,26 @@ class Solution:
     diagnostics: list = field(default_factory=list)
 
 
-def _min_sinr(chan, phase, power, bf, sigma2) -> float:
-    return float(sinr_per_user(chan, phase, power, bf, sigma2).minimum)
+def _phase_proposal(method, config, chan, phase, power, bf, p_cap, rng, phase_options):
+    """One phase step from the operating point (phase, power, bf): the
+    proposed (phase, power, combiners) and a warning or None."""
+    sigma2 = config.sigma2
+    if method == "lse":
+        out = lse_max_min_phase(chan, phase, p_cap, sigma2)
+        warning = out.warning
+        if warning is None and not out.converged:
+            warning = f"lse phase step stopped unconverged after {out.iterations} iterations"
+        # the step is judged on the SINR after power control, so it proposes
+        # the new phase together with the powers and combiners that realize it
+        bf = optimal_beamformers(chan, out.phase, out.power, sigma2)
+        return out.phase, out.power, bf, warning
+    forms = build_quadratic_forms(chan, bf, power, sigma2)
+    if method == "sdr":
+        out = sdr_dinkelbach_phase(forms, config.alpha, phase, rng)
+    else:
+        objective = lambda phi: forms.min_sinr(config.alpha * phi)  # noqa: E731
+        out = quantized_heuristic_phase(objective, phase, rng, phase_options)
+    return out.phase, power, bf, out.warning
 
 
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
@@ -68,9 +91,8 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     improvement of the minimum SINR over one sweep drops below ``tol`` or
     after ``max_sweeps`` sweeps. Powers start at the exposure-folded cap so
     the first combiner update sees realistic interference.
-    ``phase_options`` applies to "sdr" (SdrOptions) and "quant"
-    (QuantOptions); the "lse" step has no settings, and "random-baseline"
-    runs no phase step.
+    ``phase_options`` (QuantOptions) sets the bit depth of "quant"; the
+    other methods have no settings.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -80,16 +102,16 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     diagnostics: list[str] = []
 
     if method == "quant":
-        opts = phase_options or QuantOptions()
-        phase = grid_phase_from_uniform(rng.random(config.n), opts.bits, config.alpha)
+        bits = (phase_options or QuantOptions()).bits
+        phase = grid_phase_from_uniform(rng.random(config.n), bits, config.alpha)
     else:
         phase = PhaseVector.random(config.n, config.alpha, rng)
-        opts = (phase_options or SdrOptions()) if method == "sdr" else None
 
+    # the first combiner stage is always kept, so no operating point is scored
+    # before it; table is the gain table of the current (phase, bf)
     power = PowerAllocation(p_cap.copy())
-    bf = optimal_beamformers(chan, phase, power, sigma2)
-    current = _min_sinr(chan, phase, power, bf, sigma2)
-
+    bf = table = None
+    current = -np.inf
     trace: list[tuple[str, float]] = []
     converged = False
     sweeps = 0
@@ -97,52 +119,31 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     for sweeps in range(1, max_sweeps + 1):
         # combiner step: per-user optimal, so the minimum cannot drop
         bf_new = optimal_beamformers(chan, phase, power, sigma2)
-        candidate = _min_sinr(chan, phase, power, bf_new, sigma2)
+        table_new = gain_table(chan, phase, bf_new, sigma2)
+        candidate = float(table_new.sinr(power.p).min())
         if candidate >= current:
-            bf, current = bf_new, candidate
+            bf, table, current = bf_new, table_new, candidate
         trace.append(("bf", current))
 
         # power step: the previous powers stay feasible, so the optimum is no worse
-        result = max_min_power(gain_table(chan, phase, bf, sigma2), p_cap)
+        result = max_min_power(table, p_cap)
         if result.degenerate:
             diagnostics.append(f"sweep {sweeps}: degenerate gain table in the power step")
-        candidate = _min_sinr(chan, phase, result.power, bf, sigma2)
-        if candidate >= current:
-            power, current = result.power, candidate
+        if result.tau >= current:
+            power, current = result.power, result.tau
         trace.append(("power", current))
 
         # phase step, guarded against any decrease of the minimum
-        if method == "sdr":
-            forms = build_quadratic_forms(chan, bf, power, sigma2)
-            out = sdr_dinkelbach_phase(forms, config.alpha, phase, rng, opts)
-            if out.warning:
-                diagnostics.append(f"sweep {sweeps}: {out.warning}")
-            candidate = _min_sinr(chan, out.phase, power, bf, sigma2)
-            if candidate >= current:
-                phase, current = out.phase, candidate
-        elif method == "quant":
-            forms = build_quadratic_forms(chan, bf, power, sigma2)
-            objective = lambda phi: forms.min_sinr(config.alpha * phi)  # noqa: E731
-            out = quantized_heuristic_phase(objective, phase, rng, opts)
-            if out.warning:
-                diagnostics.append(f"sweep {sweeps}: {out.warning}")
-            candidate = _min_sinr(chan, out.phase, power, bf, sigma2)
-            if candidate >= current:
-                phase, current = out.phase, candidate
-        elif method == "lse":
-            out = lse_max_min_phase(chan, phase, p_cap, sigma2)
-            if out.warning:
-                diagnostics.append(f"sweep {sweeps}: {out.warning}")
-            elif not out.converged:
-                diagnostics.append(f"sweep {sweeps}: lse phase step stopped unconverged "
-                                   f"after {out.iterations} iterations")
-            # the step is judged on the SINR after power control, so commit the
-            # new phase together with the powers and combiners that realize it
-            bf_new = optimal_beamformers(chan, out.phase, out.power, sigma2)
-            candidate = _min_sinr(chan, out.phase, out.power, bf_new, sigma2)
-            if candidate >= current:
-                phase, power, bf, current = out.phase, out.power, bf_new, candidate
         if method != "random-baseline":
+            phase_new, power_new, bf_new, warning = _phase_proposal(
+                method, config, chan, phase, power, bf, p_cap, rng, phase_options)
+            if warning:
+                diagnostics.append(f"sweep {sweeps}: {warning}")
+            table_new = gain_table(chan, phase_new, bf_new, sigma2)
+            candidate = float(table_new.sinr(power_new.p).min())
+            if candidate >= current:
+                phase, power, bf, table = phase_new, power_new, bf_new, table_new
+                current = candidate
             trace.append(("phase", current))
 
         if previous is not None and current - previous <= tol * max(previous, 1e-300):

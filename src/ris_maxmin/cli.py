@@ -9,9 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import dump_channel_text, sample_channel
+from .channel import dump_channel_text
 from .errors import ConfigurationError, DomainError, NumericError
-from .harness import derive_trial_seed, load_config, run_experiment
+from .harness import load_config, run_experiment, trial_channel
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="parse and validate a config file")
     validate.add_argument("config", help="path to the experiment config file")
 
-    dump = sub.add_parser("dump-channel", help="sample one channel realization as text")
+    dump = sub.add_parser("dump-channel",
+                          help="write the channel of the first trial at the first grid point")
     dump.add_argument("config", help="path to the experiment config file")
     dump.add_argument("--out", default=None, help="output path (default: stdout)")
     dump.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -68,9 +69,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dump_channel(args) -> int:
     config, plan = load_config(args.config)
-    seed = plan.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(np.random.SeedSequence(derive_trial_seed(seed, 0, 0)))
-    text = dump_channel_text(sample_channel(config, rng))
+    if args.seed is not None:
+        plan = replace(plan, seed=args.seed)
+    _, _, chan, _ = trial_channel(config, plan, 0, 0)
+    text = dump_channel_text(chan)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -1,5 +1,9 @@
 """Shared value types and the exact uplink SINR arithmetic.
 
+The fixed-combiner SINR has one formula, GainTable.sinr: sinr_per_user and
+power.max_min_power both evaluate it, and the alternating loop scores every
+operating point with it.
+
 All powers are stored in watts and all SINRs in linear scale; dBm/dB
 conversions happen only at the CLI/CSV boundary. Every type here is an
 immutable value object and every operation is a pure function, so they are
@@ -270,24 +274,59 @@ def effective_channel(chan: ChannelRealization, phase: PhaseVector) -> np.ndarra
     return chan.cascade_matrix() @ (phase.phi_vec[:, None] * chan.h2.T)
 
 
+@dataclass(frozen=True, eq=False)
+class GainTable:
+    """Link gains f[k, i] = |b_k^H g_i|^2 and noise terms n_k = sigma2*||b_k||^2.
+
+    ``cross`` is f with its diagonal zeroed, formed once at construction.
+    """
+
+    f: np.ndarray
+    n: np.ndarray
+    cross: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        f = np.atleast_2d(np.asarray(self.f, dtype=float))
+        n = np.atleast_1d(np.asarray(self.n, dtype=float))
+        if f.shape[0] != f.shape[1] or f.shape[0] != n.shape[0]:
+            raise ConfigurationError(f"gain table shapes inconsistent: f {f.shape}, n {n.shape}")
+        if np.any(f < 0) or np.any(n <= 0):
+            raise ConfigurationError("gains must be nonnegative and noise terms positive")
+        cross = f.copy()
+        cross.flat[::f.shape[1] + 1] = 0.0
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cross", cross)
+
+    @property
+    def k(self) -> int:
+        return self.n.shape[0]
+
+    def sinr(self, p: np.ndarray) -> np.ndarray:
+        """Every user's SINR p_k f[k, k] / (sum_{i != k} p_i f[k, i] + n_k).
+
+        The interference sums ``cross`` alone: f @ p - signal would cancel
+        the digits of a high-SINR user's interference.
+        """
+        return p * self.f.diagonal() / (self.cross @ p + self.n)
+
+
+def gain_table(chan: ChannelRealization, phase: PhaseVector, bf, sigma2: float) -> GainTable:
+    """The gain table of fixed combiners ``bf`` at the phases ``phase``."""
+    rows = _bf_matrix(bf)
+    g = effective_channel(chan, phase)
+    return GainTable(f=np.abs(rows.conj() @ g) ** 2, n=sigma2 * np.sum(np.abs(rows) ** 2, axis=1))
+
+
 def sinr_per_user(chan: ChannelRealization, phase: PhaseVector, powers, bf,
                   sigma2: float) -> SinrReport:
     """Uplink SINR of every user for the given powers and receive combiners.
 
     user i's SINR is p_i |b_i^H g_i|^2 over the sum of p_j |b_i^H g_j|^2 for
-    j != i plus sigma2 * ||b_i||^2. The noise term uses the actual combiner
-    norm, so un-normalized probe combiners are handled correctly.
+    j != i plus sigma2 * ||b_i||^2 (GainTable.sinr). The noise term uses the
+    actual combiner norm, so un-normalized probe combiners are handled
+    correctly; a zero combiner row has no noise term and is rejected.
     """
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
-    p = _power_array(powers)
-    rows = _bf_matrix(bf)
-    g = effective_channel(chan, phase)
-    gains = np.abs(rows.conj() @ g) ** 2         # entry (i, j) = |b_i^H g_j|^2
-    signal = p * gains.diagonal()
-    # sum the interference without the direct term: gains @ p - signal would
-    # cancel the digits of a high-SINR user's interference
-    gains.flat[::gains.shape[1] + 1] = 0.0
-    interference = gains @ p
-    noise = sigma2 * np.sum(np.abs(rows) ** 2, axis=1)
-    return SinrReport.from_per_user(signal / (interference + noise))
+    return SinrReport.from_per_user(gain_table(chan, phase, bf, sigma2).sinr(_power_array(powers)))

@@ -26,7 +26,6 @@ from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
 from .phase import QUANT_MAX_EVALS, QuantOptions
-from .sdr import SdrOptions
 
 
 @dataclass(frozen=True)
@@ -40,24 +39,15 @@ class ExperimentPlan:
     m_grid: tuple = ()
     n_grid: tuple = ()
     b_grid: tuple = (3,)
-    quant_window: int = QuantOptions.window
-    quant_epsilon: float = QuantOptions.epsilon
-    n_rand: int = SdrOptions.n_rand
     tol: float = SWEEP_TOL
     max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
-        for key in ("trials", "quant_window", "max_sweeps"):
+        for key in ("trials", "max_sweeps"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.tol >= 0.0:
             raise ConfigurationError(f"tol must be >= 0, got {self.tol}")
-        # the swap heuristic's window sums nonnegative gains, so only a positive
-        # threshold can stop it before its evaluation budget
-        if not self.quant_epsilon > 0.0:
-            raise ConfigurationError(f"quant_epsilon must be > 0, got {self.quant_epsilon}")
-        if self.n_rand < 0:
-            raise ConfigurationError(f"n_rand must be >= 0, got {self.n_rand}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; expected a subset of {METHODS}")
@@ -112,9 +102,6 @@ CONFIG_KEYS = {
     "m_grid": (ExperimentPlan, "m_grid", _list_of(int)),
     "n_grid": (ExperimentPlan, "n_grid", _list_of(int)),
     "b_grid": (ExperimentPlan, "b_grid", _list_of(int)),
-    "quant_window": (ExperimentPlan, "quant_window", int),
-    "quant_epsilon": (ExperimentPlan, "quant_epsilon", float),
-    "n_rand": (ExperimentPlan, "n_rand", int),
     "tol": (ExperimentPlan, "tol", float),
     "max_sweeps": (ExperimentPlan, "max_sweeps", int),
 }
@@ -189,13 +176,6 @@ def dump_config(config: SystemConfig, plan: ExperimentPlan) -> str:
                    for key, (owner, name, _) in CONFIG_KEYS.items())
 
 
-CSV_COLUMNS = (
-    "seed", "k", "m", "n", "method", "bits", "min_sinr_linear", "min_sinr_db",
-    "per_user_sinrs", "sweeps", "wall_time_seconds", "p_cap_used", "degenerate",
-    "channel_hash", "diagnostics",
-)
-
-
 @dataclass
 class TrialRecord:
     """One CSV row: one method run on one channel realization."""
@@ -227,6 +207,9 @@ class TrialRecord:
             "1" if self.degenerate else "0",
             self.channel_hash, self.diagnostics,
         ]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _g17(x: float) -> str:
@@ -270,41 +253,45 @@ def _method_runs(plan: ExperimentPlan):
     return runs
 
 
-def _phase_options(plan: ExperimentPlan, method: str, bits):
-    if method == "quant":
-        return QuantOptions(bits=bits, window=plan.quant_window, epsilon=plan.quant_epsilon)
-    if method == "sdr":
-        return SdrOptions(n_rand=plan.n_rand)
-    return None
+def _grid_points(plan: ExperimentPlan) -> list:
+    return [(k, m, n) for k in plan.k_grid for m in plan.m_grid for n in plan.n_grid]
+
+
+def trial_channel(base_config: SystemConfig, plan: ExperimentPlan, grid_index: int,
+                  trial_index: int):
+    """The draw of trial ``trial_index`` at grid point ``grid_index``.
+
+    Returns the grid point's config, the trial seed, the channel that every
+    method of the trial shares, and one seed sequence per planned method.
+    """
+    config = _scaled_config(base_config, *_grid_points(plan)[grid_index])
+    trial_seed = derive_trial_seed(plan.seed, grid_index, trial_index)
+    children = np.random.SeedSequence(trial_seed).spawn(1 + len(plan.methods))
+    chan = sample_channel(config, np.random.default_rng(children[0]))
+    return config, trial_seed, chan, dict(zip(plan.methods, children[1:]))
 
 
 def run_trial(base_config: SystemConfig, plan: ExperimentPlan, grid_index: int,
-              kmn: tuple, trial_index: int) -> list:
+              trial_index: int) -> list:
     """Run every planned method on one shared channel draw; returns records."""
-    k, m, n = kmn
-    config = _scaled_config(base_config, k, m, n)
-    trial_seed = derive_trial_seed(plan.seed, grid_index, trial_index)
-    root = np.random.SeedSequence(trial_seed)
-    children = root.spawn(1 + len(plan.methods))
-    chan = sample_channel(config, np.random.default_rng(children[0]))
+    config, trial_seed, chan, method_stream = trial_channel(base_config, plan, grid_index,
+                                                            trial_index)
     chash = _channel_hash(chan)
-    method_stream = {name: children[1 + j] for j, name in enumerate(plan.methods)}
-
     records = []
     for method, bits in _method_runs(plan):
         rng = np.random.default_rng(method_stream[method])
         solution = alternating_optimize(
             config, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
-            phase_options=_phase_options(plan, method, bits))
-        records.append(_record_from_solution(solution, trial_seed, k, m, n, method, bits, chash))
+            phase_options=None if bits is None else QuantOptions(bits=bits))
+        records.append(_record_from_solution(solution, trial_seed, config, method, bits, chash))
     return records
 
 
-def _record_from_solution(solution: Solution, trial_seed, k, m, n, method, bits,
+def _record_from_solution(solution: Solution, trial_seed, config: SystemConfig, method, bits,
                           chash) -> TrialRecord:
     minimum = solution.report.minimum
     return TrialRecord(
-        seed=trial_seed, k=k, m=m, n=n, method=method, bits=bits,
+        seed=trial_seed, k=config.k, m=config.m, n=config.n, method=method, bits=bits,
         min_sinr_linear=minimum,
         min_sinr_db=float(db10(minimum)) if minimum > 0 else -math.inf,
         per_user_sinrs=tuple(solution.report.per_user),
@@ -331,9 +318,8 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     leaves the rows of every trial before the failing one. Returns the
     records.
     """
-    grid = [(k, m, n) for k in plan.k_grid for m in plan.m_grid for n in plan.n_grid]
-    tasks = [(config, plan, gi, kmn, ti)
-             for gi, kmn in enumerate(grid) for ti in range(plan.trials)]
+    tasks = [(config, plan, gi, ti)
+             for gi in range(len(_grid_points(plan))) for ti in range(plan.trials)]
 
     records = []
     with ExitStack() as stack:

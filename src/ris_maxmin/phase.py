@@ -366,13 +366,13 @@ def grid_phase_from_uniform(u: np.ndarray, bits: int, alpha: float) -> PhaseVect
 
 
 QUANT_MAX_EVALS = 200_000   # swap heuristic's trace-entry budget; the window rule stops it first
+QUANT_WINDOW = 50           # the swaps stop once the summed improvement over the
+QUANT_EPSILON = 1e-8        # trailing QUANT_WINDOW trace entries falls below this
 
 
 @dataclass(frozen=True)
 class QuantOptions:
     bits: int = 3
-    window: int = 50
-    epsilon: float = 1e-8
 
 
 @dataclass
@@ -395,15 +395,12 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     each grid level of each picked element, its level at the pick (not
     evaluated again) included; ``evaluations`` counts the objective calls
     after the initial one. The search stops once the summed improvement
-    across the trailing ``window`` trace entries drops below ``epsilon``,
-    which is guaranteed to happen because strict improvements on a finite
-    grid are finite in number, or once the trace reaches QUANT_MAX_EVALS
-    entries.
+    across the trailing QUANT_WINDOW trace entries drops below
+    QUANT_EPSILON, which is guaranteed to happen because strict
+    improvements on a finite grid are finite in number, or once the trace
+    reaches QUANT_MAX_EVALS entries.
     """
-    opts = options or QuantOptions()
-    if opts.window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {opts.window}")
-    grid = phase_grid(opts.bits)
+    grid = phase_grid((options or QuantOptions()).bits)
     q = grid.size
     idx = np.argmin(np.abs(np.mod(init.theta[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi), axis=1)
     if np.max(np.abs(np.mod(init.theta - grid[idx] + np.pi, TWO_PI) - np.pi)) > 1e-9:
@@ -429,9 +426,9 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
                     phi = cand
                     current = value
             trace.append(current)
-        if len(trace) > opts.window:
-            recent = trace[-opts.window - 1:-1]
-            if sum(trace[-1] - t for t in recent) < opts.epsilon:
+        if len(trace) > QUANT_WINDOW:
+            recent = trace[-QUANT_WINDOW - 1:-1]
+            if sum(trace[-1] - t for t in recent) < QUANT_EPSILON:
                 break
         if len(trace) >= QUANT_MAX_EVALS:
             warning = "evaluation budget exhausted before the improvement window settled"

@@ -1,7 +1,7 @@
 """Max-min SINR power control under per-user caps, plus the exposure cap fold.
 
-For fixed combiners, user k's SINR target tau reads p >= tau * (M p + b)
-with M = (F - diag f) / diag f (row k divided by its direct gain f[k, k])
+For fixed combiners, described by a core.GainTable (F, n), user k's SINR
+target tau reads p >= tau * (M p + b) with M = (F - diag f) / diag f (row k divided by its direct gain f[k, k])
 and b = n / diag f. The max-min problem (maximize the smallest SINR subject
 to 0 <= p_k <= cap_k) has the Perron-Frobenius answer
 
@@ -10,7 +10,9 @@ to 0 <= p_k <= cap_k) has the Perron-Frobenius answer
 where rho is the spectral radius and j runs over the candidate binding
 users, and the least powers that meet tau* are p = (I - tau* M)^{-1} tau* b.
 This solves the same optimization a geometric-programming solver would,
-without the dependency and without iterating.
+without the dependency and without iterating. The reported tau is
+GainTable.sinr at those powers, the SINR formula every fixed-combiner
+caller uses, so a caller that scores the same table gets the same bits.
 
 ``mmse_max_min_power`` solves the same problem when every user keeps its
 MMSE combiner for whatever powers are chosen. Then user k's interference
@@ -31,50 +33,19 @@ iteration. The steps stop once the SINRs are balanced, judged by their
 spread, not by how far a step moves the powers.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
-from .core import ChannelRealization, PhaseVector, PowerAllocation, _bf_matrix, effective_channel
+from .core import GainTable, PowerAllocation, gain_table  # noqa: F401 (gain_table: re-exported)
 from .errors import ConfigurationError, DomainError, NumericError
 
 FIXED_POINT_MAX_ITER = 500  # factored operating points per mmse_max_min_power call, at most
 BALANCED_SPREAD = 1e-13     # SINR spread max/min - 1 at which the powers are balanced
 STALL_SPREAD = 1e-9         # once the best spread is this small, STALL_STEPS steps
 STALL_STEPS = 2             # without a new best spread also end the call
-
-
-@dataclass(frozen=True)
-class GainTable:
-    """Link gains f[k, i] = |b_k^H g_i|^2 and noise terms n_k = sigma2*||b_k||^2."""
-
-    f: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self):
-        f = np.atleast_2d(np.asarray(self.f, dtype=float))
-        n = np.atleast_1d(np.asarray(self.n, dtype=float))
-        if f.shape[0] != f.shape[1] or f.shape[0] != n.shape[0]:
-            raise ConfigurationError(f"gain table shapes inconsistent: f {f.shape}, n {n.shape}")
-        if np.any(f < 0) or np.any(n <= 0):
-            raise ConfigurationError("gains must be nonnegative and noise terms positive")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def k(self) -> int:
-        return self.n.shape[0]
-
-
-def gain_table(chan: ChannelRealization, phase: PhaseVector, bf, sigma2: float) -> GainTable:
-    """Evaluate the power-control gain table for fixed combiners and phases."""
-    rows = _bf_matrix(bf)
-    g = effective_channel(chan, phase)
-    cross = rows.conj() @ g
-    return GainTable(f=np.abs(cross) ** 2, n=sigma2 * np.sum(np.abs(rows) ** 2, axis=1))
 
 
 class PowerControlResult(NamedTuple):
@@ -93,8 +64,8 @@ class PowerControlResult(NamedTuple):
 def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     """Globally optimal max-min SINR power allocation under per-user caps.
 
-    Returns the optimizing powers, the achieved minimum SINR, and a
-    degeneracy flag. When several power vectors achieve the optimum (users
+    Returns the optimizing powers, the minimum SINR they achieve
+    (``gains.sinr``), and a degeneracy flag. When several power vectors achieve the optimum (users
     decoupled enough that some have headroom), the minimal-power one is
     returned: every user meets tau* with equality, so it emits the least
     exposure. A user with zero direct gain makes the problem degenerate:
@@ -123,10 +94,7 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     # tau * rho(M) < 1, so I - tau*M is a nonsingular M-matrix; the min only
     # trims the binding user's rounding above its cap
     p = np.minimum(cap, np.linalg.solve(eye - tau * coupling, tau * noise))
-    # sum the interference without the direct term: f @ p - diag * p would
-    # cancel the digits of a high-SINR user's interference
-    sinr = p / (coupling @ p + noise)
-    return PowerControlResult(PowerAllocation(p), float(sinr.min()), False)
+    return PowerControlResult(PowerAllocation(p), float(gains.sinr(p).min()), False)
 
 
 def _balance_system(couplings: np.ndarray, p: np.ndarray, binding: int) -> np.ndarray:

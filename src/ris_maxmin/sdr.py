@@ -74,20 +74,7 @@ STEP_INIT = 0.5         # inner step: starts here, halves on rejection,
 STEP_GROW = 1.6         # grows by STEP_GROW on acceptance,
 STEP_MAX = 10.0         # up to STEP_MAX
 INIT_SPREAD = 0.05      # nudge of the warm start off the rank-one corner
-
-
-@dataclass(frozen=True)
-class SdrOptions:
-    """Settings of sdr_dinkelbach_phase that callers choose.
-
-    ``n_rand`` is the number of Gaussian randomization draws when the best
-    lifted matrix is not rank one. The fixed settings are the module
-    constants OUTER_ITERS, OUTER_TOL, STOP_REL, STOP_WINDOW, RESTARTS,
-    INNER_ITERS, STEP_INIT, STEP_GROW, STEP_MAX and INIT_SPREAD; the factor
-    rank is min(n, max(4, k + 2)).
-    """
-
-    n_rand: int = 200
+N_RAND = 200            # Gaussian randomization draws when the best lifted matrix is not rank one
 
 
 @dataclass
@@ -251,14 +238,15 @@ def _unit_phases(z: np.ndarray) -> np.ndarray:
 
 
 def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVector,
-                         rng: np.random.Generator, options: SdrOptions | None = None) -> SdrResult:
+                         rng: np.random.Generator) -> SdrResult:
     """Run the relax-and-round phase optimizer from the given starting phase.
 
     The forms' SINRs (QuadraticFormSet.sinr_batch) give the incoming value
     and score the rounded candidates; the returned phase scores no lower
-    than the incoming one, and no higher than ``feasible_value``.
+    than the incoming one, and no higher than ``feasible_value``. The
+    settings are the module constants; the factor rank is
+    min(n, max(4, k + 2)).
     """
-    opts = options or SdrOptions()
     n = init.n
 
     # Condition the quadratic forms to O(1) so step sizes are scale-free.
@@ -324,8 +312,8 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     candidates = [_unit_phases(eigvecs[:, -1] * np.sqrt(max(eigvals[-1], 0.0)))]
     if top_share < 1.0 - 1e-3:
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        draws = root @ ((rng.standard_normal((n, opts.n_rand))
-                         + 1j * rng.standard_normal((n, opts.n_rand))) / np.sqrt(2.0))
+        draws = root @ ((rng.standard_normal((n, N_RAND))
+                         + 1j * rng.standard_normal((n, N_RAND))) / np.sqrt(2.0))
         candidates.append(_unit_phases(draws.T))
     cand = np.vstack([np.atleast_2d(c) for c in candidates])
     scores = scaled.sinr_batch(alpha * cand.T).min(axis=0)

@@ -10,6 +10,7 @@ import ris_maxmin
 from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         alternating_optimize, effective_channel, sample_channel,
                         sinr_per_user)
+from ris_maxmin import alternating
 from ris_maxmin.alternating import METHODS
 from ris_maxmin.core import ChannelRealization
 
@@ -49,6 +50,27 @@ def test_stage_trace_monotone_and_consistent(method):
             assert all(b >= a for a, b in zip(minima, minima[1:]))
             rep = sinr_per_user(chan, sol.phase, sol.power, sol.bf, cfg.sigma2)
             assert sol.report.minimum == pytest.approx(rep.minimum, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_operating_point_is_scored_once(method, monkeypatch):
+    # the loop scores every stage on one gain table, and sinr_per_user only
+    # gives the final report
+    calls = {"sinr_per_user": 0, "gain_table": 0}
+
+    def counted(name):
+        original = getattr(alternating, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(alternating, name, counted(name))
+    sol = alternating_optimize(SMALL, small_channel(40), method, np.random.default_rng(41))
+    assert calls["sinr_per_user"] == 1
+    assert calls["gain_table"] <= 2 * sol.iterations
 
 
 def test_random_baseline_has_no_phase_stages():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -41,9 +42,12 @@ def test_validate_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, key", [
     ("max_sweeps: 0", "max_sweeps"), ("tol: -1", "tol"), ("tol: nan", "tol"),
-    ("quant_window: 0", "quant_window"), ("k_grid: 0", "k_grid"), ("m_grid: 0", "m_grid"),
-    ("n_grid: 0", "n_grid"), ("b_grid: 0", "b_grid"), ("b_grid: 18", "b_grid"),
-    ("b_grid: 40", "b_grid"), ("quant_epsilon: 0", "quant_epsilon"), ("n_rand: -1", "n_rand"),
+    ("k_grid: 0", "k_grid"), ("m_grid: 0", "m_grid"), ("n_grid: 0", "n_grid"),
+    ("b_grid: 0", "b_grid"), ("b_grid: 18", "b_grid"), ("b_grid: 40", "b_grid"),
+    # the swap window and threshold and the sdr draw count are module constants
+    # (phase.QUANT_WINDOW, phase.QUANT_EPSILON, sdr.N_RAND), not config keys
+    ("quant_window: 0", "quant_window"), ("quant_epsilon: 0", "quant_epsilon"),
+    ("n_rand: -1", "n_rand"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, line, key):
     bad = tmp_path / "bad.cfg"
@@ -90,6 +94,18 @@ def test_dump_channel_stdout_parses(config_path, capsys):
     text = capsys.readouterr().out
     chan = load_channel_text(text)
     assert chan.h1.shape == (3, 4)
+
+
+def test_dump_channel_is_the_first_trials_channel(tmp_path):
+    config = tmp_path / "one.cfg"
+    config.write_text("m: 4\nn: 6\nk: 2\ntrials: 1\nseed: 5\nmethods: random-baseline\n"
+                      "max_sweeps: 2\n", encoding="utf-8")
+    dump, out = tmp_path / "chan.txt", tmp_path / "results.csv"
+    assert main(["dump-channel", str(config), "--out", str(dump)]) == 0
+    assert main(["run", str(config), "--out", str(out), "--quiet"]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        first = next(csv.DictReader(fh))
+    assert hashlib.sha256(dump.read_bytes()).hexdigest()[:16] == first["channel_hash"]
 
 
 def test_dump_channel_file_and_seed(config_path, tmp_path):

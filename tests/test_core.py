@@ -5,7 +5,7 @@ import pytest
 from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
                         PhaseVector, PowerAllocation, SinrReport, SystemConfig,
                         effective_channel, sinr_per_user)
-from ris_maxmin.core import noise_power
+from ris_maxmin.core import gain_table, noise_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 
@@ -182,6 +182,25 @@ def test_report_minimum_matches_per_user(rng):
         rep = sinr_per_user(chan, random_phase(rng, 4), rng.uniform(0, 1, 4),
                             random_beamformer(rng, 4, 3), 1.0)
         assert rep.minimum == rep.per_user.min()
+
+
+def test_sinr_per_user_is_the_gain_tables_formula(rng):
+    for k in (1, 3, 6):
+        chan = synth_channel(rng, 4, 5, k)
+        phase = random_phase(rng, 5)
+        bf = random_beamformer(rng, k, 4)
+        p = rng.uniform(0.0, 1.0, k)
+        rep = sinr_per_user(chan, phase, p, bf, 0.3)
+        assert np.array_equal(rep.per_user, gain_table(chan, phase, bf, 0.3).sinr(p))
+
+
+def test_zero_combiner_row_rejected(rng):
+    # a zero row has no noise term, so its SINR would be 0/0
+    chan = synth_channel(rng, 3, 4, 2)
+    rows = random_beamformer(rng, 2, 3).rows.copy()
+    rows[1] = 0.0
+    with pytest.raises(ConfigurationError, match="noise"):
+        sinr_per_user(chan, random_phase(rng, 4), np.ones(2), rows, 1.0)
 
 
 def test_sigma_must_be_positive(rng):

@@ -29,7 +29,6 @@ seed: 11
 methods: quant, random-baseline
 k_grid: 2
 b_grid: 1, 2
-quant_window: 10
 max_sweeps: 4
 """
 
@@ -59,9 +58,6 @@ k_grid: 3
 m_grid: 5, 6
 n_grid: 8, 16
 b_grid: 1, 2
-quant_window: 20
-quant_epsilon: 6.103515625e-05
-n_rand: 64
 tol: 0.0001220703125
 max_sweeps: 12
 """
@@ -72,7 +68,6 @@ def test_minimal_config_defaults():
     assert config.p_max == 0.5
     assert config.kappa == 10.0
     assert config.bandwidth_hz == 1e8
-    assert plan.quant_window == 50
     assert plan.b_grid == (3,)
     assert plan.k_grid == (2,)
     assert plan.methods == ("lse", "random-baseline")
@@ -132,7 +127,6 @@ def test_readme_config_example_parses():
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     config, plan = parse_config_text(block)
     assert plan.b_grid == (1, 2, 3)
-    assert plan.quant_window == 50
 
 
 def test_readme_lists_the_public_api():
