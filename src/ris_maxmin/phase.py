@@ -15,6 +15,11 @@ vector per (combiner, transmitter) pair is needed to reproduce the true
 SINR. The diagonal v[k,k] satisfies v[k,k]^H u = b_k^H g_k exactly.
 QuadraticFormSet.sinr_batch is the one formula, on the pair matrix and
 power split the set builds once; sdr's level model reads the same two.
+Both it and QuadraticFormSet.min_sinr take one (n,) vector or an (n, c)
+matrix of candidates, one per column. The ``quant`` objective is min_sinr
+on such a matrix: quantized_heuristic_phase scores all of a picked
+element's other grid levels in one call and replays its serial accept
+rule over the values.
 
 MMSE combiners (the ``lse`` steps): each candidate's effective channels go
 through beamforming.post_bf_sinr_values, whose one factorization also
@@ -103,8 +108,10 @@ class QuadraticFormSet:
         noise = self.noise if gains.ndim == 1 else self.noise[:, None]
         return parts[:k] / (parts[k:] + noise)
 
-    def min_sinr(self, phi_vec: np.ndarray) -> float:
-        return float(self.sinr_batch(phi_vec).min())
+    def min_sinr(self, phi_vecs: np.ndarray):
+        """Minimum SINR at scaled phase vectors: (n,) -> float, or (n, c) -> (c,)."""
+        sinr = self.sinr_batch(phi_vecs)
+        return float(sinr.min()) if sinr.ndim == 1 else sinr.min(axis=0)
 
 
 def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -> QuadraticFormSet:
@@ -368,6 +375,7 @@ def grid_phase_from_uniform(u: np.ndarray, bits: int, alpha: float) -> PhaseVect
 QUANT_MAX_EVALS = 200_000   # swap heuristic's trace-entry budget; the window rule stops it first
 QUANT_WINDOW = 50           # the swaps stop once the summed improvement over the
 QUANT_EPSILON = 1e-8        # trailing QUANT_WINDOW trace entries falls below this
+QUANT_MAX_COLUMNS = 4096    # most candidate columns one objective call scores
 
 
 @dataclass(frozen=True)
@@ -384,21 +392,41 @@ class QuantResult:
     warning: str | None = None
 
 
+def _swap_values(objective, phi: np.ndarray, element: int, row: np.ndarray) -> list:
+    """Objective values of ``phi`` with entry ``element`` set to each entry of
+    ``row`` in turn, scored at most QUANT_MAX_COLUMNS columns per call."""
+    values = []
+    for start in range(0, row.size, QUANT_MAX_COLUMNS):
+        part = row[start:start + QUANT_MAX_COLUMNS]
+        candidates = np.empty((phi.size, part.size), dtype=complex)
+        candidates[:] = phi[:, None]
+        candidates[element] = part
+        values.extend(np.asarray(objective(candidates), dtype=float).tolist())
+    return values
+
+
 def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Generator,
                               options: QuantOptions | None = None) -> QuantResult:
     """Random single-element swaps over the quantized phase grid.
 
-    ``objective`` maps a unit-modulus complex vector to the minimum SINR.
+    ``objective`` maps an (n, c) matrix of unit-modulus complex candidate
+    vectors, one per column, to their (c,) minimum SINRs.
     Repeatedly pick a random element and try every other grid level there,
-    keeping a swap only when the objective strictly increases.
+    in level order, keeping a swap only when the value strictly increases.
+    Every candidate of a pick differs from the current phases at the picked
+    element alone, so accepting one changes none of the others: one call
+    (in chunks of at most QUANT_MAX_COLUMNS columns) scores the pick's q - 1
+    candidates, and the accept rule is replayed over the returned values.
+    A pick's values stay valid until a swap is accepted, so picking the same
+    element again before then calls nothing.
     ``tau_trace`` holds the initial value, then the best value so far after
     each grid level of each picked element, its level at the pick (not
-    evaluated again) included; ``evaluations`` counts the objective calls
-    after the initial one. The search stops once the summed improvement
-    across the trailing QUANT_WINDOW trace entries drops below
-    QUANT_EPSILON, which is guaranteed to happen because strict
-    improvements on a finite grid are finite in number, or once the trace
-    reaches QUANT_MAX_EVALS entries.
+    judged again) included; ``evaluations`` counts the candidates the accept
+    rule judged, q - 1 per pick, whether scored anew or remembered. The
+    search stops once the summed improvement across the trailing
+    QUANT_WINDOW trace entries drops below QUANT_EPSILON, which is
+    guaranteed to happen because strict improvements on a finite grid are
+    finite in number, or once the trace reaches QUANT_MAX_EVALS entries.
     """
     grid = phase_grid((options or QuantOptions()).bits)
     q = grid.size
@@ -407,28 +435,35 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
         raise ConfigurationError(f"initial phases must lie on the {q}-point grid")
 
     phi = np.exp(1j * grid[idx])
-    current = float(objective(phi))
+    levels = np.exp(1j * grid)
+    current = float(np.asarray(objective(phi[:, None]), dtype=float)[0])
     trace = [current]
     evaluations = 0
     warning = None
+    scored = {}     # picked element -> its other levels' values, while no swap is accepted
     while True:
         n = int(rng.integers(init.n))
-        held = idx[n]   # phi's level here; re-scoring it after a swap cannot beat that swap
-        for level in range(q):
+        held = int(idx[n])   # phi's level here; re-scoring it after a swap cannot beat that swap
+        values = scored.get(n)
+        if values is None:
+            values = _swap_values(objective, phi, n, np.concatenate((levels[:held], levels[held + 1:])))
+        accepted = None
+        for level, value in enumerate(values[:held] + [None] + values[held:]):
             if level != held:
-                cand = phi.copy()
-                cand[n] = np.exp(1j * grid[level])
-                value = float(objective(cand))
                 evaluations += 1
                 # strict increase beyond roundoff of the phase arithmetic
                 if value > current * (1.0 + 1e-12):
-                    idx[n] = level
-                    phi = cand
-                    current = value
+                    accepted, current = level, value
             trace.append(current)
+        if accepted is None:
+            scored[n] = values
+        else:
+            idx[n] = accepted
+            phi[n] = levels[accepted]
+            scored.clear()
         if len(trace) > QUANT_WINDOW:
-            recent = trace[-QUANT_WINDOW - 1:-1]
-            if sum(trace[-1] - t for t in recent) < QUANT_EPSILON:
+            last = trace[-1]
+            if sum([last - t for t in trace[-QUANT_WINDOW - 1:-1]]) < QUANT_EPSILON:
                 break
         if len(trace) >= QUANT_MAX_EVALS:
             warning = "evaluation budget exhausted before the improvement window settled"

@@ -1,4 +1,5 @@
-"""Test-side references: finite differences, lifted forms and the post-combining report.
+"""Test-side references: finite differences, lifted forms, the post-combining
+report, the serial quant swap loop and the per-element channel dump.
 
 None of these is part of the library. Each is built from the library's
 primitives in the most direct way, so a test can hold the optimized
@@ -8,7 +9,11 @@ routes against them.
 import numpy as np
 
 from ris_maxmin.beamforming import post_bf_sinr_values
-from ris_maxmin.core import SinrReport, _power_array, effective_channel
+from ris_maxmin.channel import CHANNEL_DUMP_HEADER
+from ris_maxmin.core import TWO_PI, PhaseVector, SinrReport, _power_array, effective_channel
+from ris_maxmin.errors import ConfigurationError
+from ris_maxmin.phase import (QUANT_EPSILON, QUANT_MAX_EVALS, QUANT_WINDOW,
+                              QuantOptions, QuantResult, phase_grid)
 
 
 def post_bf_sinr(chan, phase, powers, sigma2) -> SinrReport:
@@ -47,3 +52,59 @@ def lifted_sinr(forms, v) -> np.ndarray:
     quads = np.real(np.einsum("kin,nm,kim->ki", forms.pair_vectors.conj(), v, forms.pair_vectors))
     parts = forms.split.T @ np.maximum(quads, 0.0).ravel()
     return parts[:forms.k] / (parts[forms.k:] + forms.noise)
+
+
+def serial_quantized_heuristic_phase(objective, init, rng, options=None) -> QuantResult:
+    """The quant swap loop one candidate at a time: ``objective`` maps one
+    unit-modulus (n,) vector to its minimum SINR, and each level of each
+    picked element is scored by its own call. Same rng draws, accept rule,
+    trace and stop rule as phase.quantized_heuristic_phase."""
+    grid = phase_grid((options or QuantOptions()).bits)
+    q = grid.size
+    idx = np.argmin(np.abs(np.mod(init.theta[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi), axis=1)
+    if np.max(np.abs(np.mod(init.theta - grid[idx] + np.pi, TWO_PI) - np.pi)) > 1e-9:
+        raise ConfigurationError(f"initial phases must lie on the {q}-point grid")
+
+    phi = np.exp(1j * grid[idx])
+    current = float(objective(phi))
+    trace = [current]
+    evaluations = 0
+    warning = None
+    while True:
+        n = int(rng.integers(init.n))
+        held = idx[n]
+        for level in range(q):
+            if level != held:
+                cand = phi.copy()
+                cand[n] = np.exp(1j * grid[level])
+                value = float(objective(cand))
+                evaluations += 1
+                if value > current * (1.0 + 1e-12):
+                    idx[n] = level
+                    phi = cand
+                    current = value
+            trace.append(current)
+        if len(trace) > QUANT_WINDOW:
+            recent = trace[-QUANT_WINDOW - 1:-1]
+            if sum(trace[-1] - t for t in recent) < QUANT_EPSILON:
+                break
+        if len(trace) >= QUANT_MAX_EVALS:
+            warning = "evaluation budget exhausted before the improvement window settled"
+            break
+
+    return QuantResult(phase=PhaseVector(theta=grid[idx], alpha=init.alpha), min_sinr=current,
+                       evaluations=evaluations, tau_trace=np.asarray(trace), warning=warning)
+
+
+def dump_channel_text_per_element(chan) -> str:
+    """channel.dump_channel_text formatting each numpy scalar on its own."""
+    lines = [CHANNEL_DUMP_HEADER, f"M {chan.m}", f"N {chan.n}", f"K {chan.k}"]
+    for tag, arr in (("H1", chan.h1), ("RIS_CORR_SQRT", chan.ris_corr_sqrt), ("H2", chan.h2)):
+        lines.append(tag)
+        for z in np.asarray(arr).ravel():
+            lines.append(f"{z.real:.17g} {z.imag:.17g}")
+    lines.append("POSITIONS")
+    for x, y in chan.user_positions:
+        lines.append(f"{x:.17g} {y:.17g}")
+    lines.append("END")
+    return "\n".join(lines) + "\n"

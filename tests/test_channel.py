@@ -9,6 +9,8 @@ from ris_maxmin.channel import (LosAngleSet, PathLossModel, dump_channel_text,
                                 path_loss, ris_correlation_sqrt,
                                 sample_los_angles, sample_user_positions)
 
+from oracles import dump_channel_text_per_element
+
 
 def test_path_loss_unit_distance_cancellation():
     model = PathLossModel.los(gain_tx_dbi=35.95, gain_rx_dbi=0.0)
@@ -146,3 +148,9 @@ def test_channel_dump_round_trip(rng):
     assert np.array_equal(back.ris_corr_sqrt, chan.ris_corr_sqrt)
     assert np.array_equal(back.h2, chan.h2)
     assert np.array_equal(back.user_positions, chan.user_positions)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_channel_dump_bytes_match_the_per_element_formatter(k):
+    chan = sample_channel(SystemConfig(m=12, n=24, k=k), np.random.default_rng((11, k)))
+    assert dump_channel_text(chan).encode() == dump_channel_text_per_element(chan).encode()

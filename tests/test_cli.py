@@ -40,21 +40,30 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, key", [
-    ("max_sweeps: 0", "max_sweeps"), ("tol: -1", "tol"), ("tol: nan", "tol"),
-    ("k_grid: 0", "k_grid"), ("m_grid: 0", "m_grid"), ("n_grid: 0", "n_grid"),
-    ("b_grid: 0", "b_grid"), ("b_grid: 18", "b_grid"), ("b_grid: 40", "b_grid"),
-    # the swap window and threshold and the sdr draw count are module constants
-    # (phase.QUANT_WINDOW, phase.QUANT_EPSILON, sdr.N_RAND), not config keys
-    ("quant_window: 0", "quant_window"), ("quant_epsilon: 0", "quant_epsilon"),
-    ("n_rand: -1", "n_rand"),
-])
+# each bad line replaces the key's line of CONFIG, if it has one, and is
+# rejected with this error; the swap window and threshold and the sdr draw
+# count are module constants (phase.QUANT_WINDOW, phase.QUANT_EPSILON,
+# sdr.N_RAND), not config keys
+REJECTIONS = {
+    "max_sweeps: 0": "max_sweeps must be >= 1, got 0",
+    "tol: -1": "tol must be >= 0", "tol: nan": "tol must be >= 0",
+    "k_grid: 0": "k_grid entries must be >= 1", "m_grid: 0": "m_grid entries must be >= 1",
+    "n_grid: 0": "n_grid entries must be >= 1",
+    "b_grid: 0": "b_grid entries must lie in 1..17", "b_grid: 18": "b_grid entries must lie in 1..17",
+    "b_grid: 40": "b_grid entries must lie in 1..17",
+    "quant_window: 0": "unknown key 'quant_window'",
+    "quant_epsilon: 0": "unknown key 'quant_epsilon'", "n_rand: -1": "unknown key 'n_rand'",
+}
+
+
+@pytest.mark.parametrize("line, key", [(line, line.split(":")[0]) for line in REJECTIONS])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, line, key):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+    kept = [row for row in CONFIG.splitlines() if not row.startswith(f"{key}:")]
+    bad.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and key in err
+    assert "config error" in err and REJECTIONS[line] in err
     out = tmp_path / "results.csv"
     assert main(["run", str(bad), "--out", str(out), "--quiet"]) == 1
     assert not out.exists()

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import ris_maxmin
-from ris_maxmin import ConfigurationError, run_experiment
+from ris_maxmin import ConfigurationError, alternating, run_experiment
 from ris_maxmin.harness import (CONFIG_KEYS, CSV_COLUMNS, derive_trial_seed,
                                 dump_config, load_config, parse_config_text,
                                 records_to_csv_text)
+
+from oracles import serial_quantized_heuristic_phase
 
 MINIMAL = """
 m: 4
@@ -180,13 +182,15 @@ def test_paired_trials_share_channels(tmp_path):
     assert len(by_seed) == plan.trials
 
 
-def test_determinism_apart_from_wall_time(tmp_path):
-    def strip_times(records):
-        text = records_to_csv_text(records).splitlines()
-        idx = CSV_COLUMNS.index("wall_time_seconds")
-        return ["|".join(v for i, v in enumerate(line.split(",")) if i != idx)
-                for line in text]
+def strip_times(records):
+    """The CSV rows of ``records`` without their wall_time_seconds column."""
+    text = records_to_csv_text(records).splitlines()
+    idx = CSV_COLUMNS.index("wall_time_seconds")
+    return ["|".join(v for i, v in enumerate(line.split(",")) if i != idx)
+            for line in text]
 
+
+def test_determinism_apart_from_wall_time(tmp_path):
     config, plan = parse_config_text(SMALL_PLAN)
     a = run_experiment(config, plan, out_path=None, workers=1)
     b = run_experiment(config, plan, out_path=None, workers=1)
@@ -194,12 +198,6 @@ def test_determinism_apart_from_wall_time(tmp_path):
 
 
 def test_worker_pool_preserves_output(tmp_path):
-    def strip_times(records):
-        text = records_to_csv_text(records).splitlines()
-        idx = CSV_COLUMNS.index("wall_time_seconds")
-        return ["|".join(v for i, v in enumerate(line.split(",")) if i != idx)
-                for line in text]
-
     config, plan = parse_config_text(SMALL_PLAN)
     serial = run_experiment(config, plan, out_path=None, workers=1)
     parallel = run_experiment(config, plan, out_path=None, workers=2)
@@ -220,3 +218,14 @@ def test_streamed_csv_is_the_records_text(tmp_path):
         out = tmp_path / f"streamed-{workers}.csv"
         records = run_experiment(config, plan, out_path=out, workers=workers)
         assert out.read_bytes().decode("utf-8") == records_to_csv_text(records)
+
+
+def test_batched_quant_swaps_leave_the_csv_unchanged(monkeypatch):
+    config, plan = parse_config_text("m: 12\nn: 24\nk: 2\ntrials: 3\nseed: 20240817\n"
+                                     "methods: quant, random-baseline\nk_grid: 2, 4\n"
+                                     "b_grid: 1, 2, 3\n")
+    batched = run_experiment(config, plan, out_path=None, workers=1)
+    monkeypatch.setattr(alternating, "quantized_heuristic_phase", serial_quantized_heuristic_phase)
+    serial = run_experiment(config, plan, out_path=None, workers=1)
+    assert len(batched) == 2 * 3 * 4
+    assert strip_times(batched) == strip_times(serial)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_maxmin import (ConfigurationError, PhaseVector, QuantOptions,
                         build_quadratic_forms, grid_phase_from_uniform,
                         phase_grid, quantized_heuristic_phase)
+from ris_maxmin.phase import QUANT_MAX_COLUMNS
 
 from conftest import random_beamformer, synth_channel
+from oracles import serial_quantized_heuristic_phase
 
 
 def make_objective(rng, m, n, k, alpha=1.0):
@@ -78,16 +82,77 @@ def test_two_element_one_bit_exhaustive(rng):
     assert reached >= 90
 
 
-def test_evaluations_count_objective_calls(rng):
-    _, objective = make_objective(rng, 3, 5, 3)
+def assert_matches_serial_loop(objective, init, seed, bits):
+    """Run the heuristic and the serial loop on the same draws, hold them
+    equal, and return the heuristic's result and its calls' column counts."""
     calls = []
 
-    def counted(phi):
-        calls.append(1)
+    def batched(phi):
+        calls.append(phi.shape[1])
         return objective(phi)
 
+    out = quantized_heuristic_phase(batched, init, np.random.default_rng(seed), QuantOptions(bits=bits))
+    ref = serial_quantized_heuristic_phase(objective, init, np.random.default_rng(seed),
+                                           QuantOptions(bits=bits))
+    assert np.array_equal(out.phase.theta, ref.phase.theta)
+    assert out.evaluations == ref.evaluations
+    assert out.warning == ref.warning
+    np.testing.assert_allclose(out.tau_trace, ref.tau_trace, rtol=1e-12)
+    assert out.min_sinr == pytest.approx(ref.min_sinr, rel=1e-12)
+    return out, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6), n=st.integers(1, 29),
+       bits=st.integers(1, 3))
+def test_batched_swaps_match_the_serial_loop(seed, k, n, bits):
+    local = np.random.default_rng(seed)
+    _, objective = make_objective(local, 4, n, k, alpha=0.8)
+    init = grid_phase_from_uniform(local.random(n), bits, 0.8)
+    assert_matches_serial_loop(objective, init, seed, bits)
+
+
+def test_levels_beyond_the_column_cap_are_scored_in_chunks(rng):
+    bits = 13
+    assert 2 ** bits - 1 > QUANT_MAX_COLUMNS
+    _, objective = make_objective(rng, 3, 3, 2)
+    init = grid_phase_from_uniform(rng.random(3), bits, 1.0)
+    out, calls = assert_matches_serial_loop(objective, init, 5, bits)
+    assert max(calls) == QUANT_MAX_COLUMNS
+    assert sum(calls[1:]) <= out.evaluations
+
+
+def test_evaluations_match_the_serial_loop_in_one_call_per_pick(rng):
+    _, objective = make_objective(rng, 3, 5, 3)
     for bits in (1, 2, 3):
-        calls.clear()
         init = grid_phase_from_uniform(rng.random(5), bits, 1.0)
-        out = quantized_heuristic_phase(counted, init, rng, QuantOptions(bits=bits))
-        assert out.evaluations == len(calls) - 1 > 0
+        out, calls = assert_matches_serial_loop(objective, init, 100 + bits, bits)
+        q = 2 ** bits
+        picks = (out.tau_trace.size - 1) // q
+        assert out.evaluations == picks * (q - 1) > 0
+        assert 1 < len(calls) <= 1 + picks
+
+
+def test_an_element_is_scored_again_only_after_a_swap(rng):
+    # a pick calls the objective unless its element was scored after the last accepted swap
+    remembered = accepted = 0
+    for trial in range(10):
+        _, objective = make_objective(rng, 3, 3, 2)
+        init = grid_phase_from_uniform(rng.random(3), 2, 1.0)
+        out, calls = assert_matches_serial_loop(objective, init, trial, 2)
+        blocks = out.tau_trace[1:].reshape(-1, 4)
+        starts = np.concatenate(([out.tau_trace[0]], blocks[:-1, -1]))
+        draws = np.random.default_rng(trial)
+        scored, expected = set(), 1
+        for start, block in zip(starts, blocks):
+            element = int(draws.integers(3))
+            if element in scored:
+                remembered += 1
+            else:
+                scored.add(element)
+                expected += 1
+            if block[-1] > start:
+                scored.clear()
+                accepted += 1
+        assert len(calls) == expected
+    assert remembered > 0 and accepted > 0
