@@ -14,19 +14,18 @@ s_k = 1 - p_k q_k = 1 / (1 + SINR_k):
     T_k g_k = x_k / s_k,    SINR_k = p_k q_k / s_k,
     g_j^H T_j g_i = (G^H X)[j, i] / s_j.
 
-At high SINR the slack cancels, so a user whose slack falls below
-SLACK_FALLBACK takes these quantities from its own factorization of
-S_k + sigma2*I, summed over the other users (``interference_cholesky``).
-Both matrices are Hermitian positive definite by construction. The
-shared factorization and solve call LAPACK's zpotrf and zpotrs directly,
-the routines scipy.linalg.cho_factor and cho_solve reach: at these sizes
-the wrappers' argument handling costs more than the algebra.
+At high SINR the slack cancels, so each user whose slack falls below
+SLACK_FALLBACK, and only such a user, takes these quantities from its own
+factorization of S_k + sigma2*I (``interference_cholesky``). Both matrices
+are Hermitian positive definite and go through _cholesky_solve: LAPACK's
+zpotrf and zpotrs, called with the arguments scipy.linalg's Cholesky
+wrappers would pass (at these sizes their argument handling costs more
+than the algebra).
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .core import (Beamformer, ChannelRealization, PhaseVector, _power_array,
@@ -39,28 +38,28 @@ from .errors import ConfigurationError, NumericError
 SLACK_FALLBACK = 1e-5
 
 
-def interference_cholesky(g: np.ndarray, p: np.ndarray, sigma2: float) -> list:
-    """Cholesky factors of S_k + sigma2*I for every user.
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """A^{-1} B for Hermitian positive definite A, from its lower Cholesky factor."""
+    factor, info = lapack.zpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NumericError(f"{what} is not positive definite")
+    return lapack.zpotrs(factor, b, lower=1)[0]
 
-    Each S_k is summed over the other users alone: downdating the shared
-    matrix A instead would cancel the digits of a high-SINR user's own
-    term, the very case this route serves.
-    """
+
+def interference_cholesky(g: np.ndarray, p: np.ndarray, sigma2: float, users) -> list:
+    """(S_j + sigma2*I)^{-1} G for each user j in ``users``, from its own
+    factorization. S_j is summed over the other users alone: downdating A
+    would cancel the digits of a high-SINR user's own term."""
     m, k = g.shape
-    if not np.all(np.isfinite(g)):
-        raise NumericError("effective channel contains non-finite entries")
     weighted = g * p
     eye = sigma2 * np.eye(m)
-    factors = []
-    for i in range(k):
-        others = np.arange(k) != i
-        s_i = weighted[:, others] @ g[:, others].conj().T + eye
-        s_i = 0.5 * (s_i + s_i.conj().T)
-        try:
-            factors.append(sla.cho_factor(s_i, lower=True, check_finite=False))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"interference matrix for user {i} is not positive definite") from exc
-    return factors
+    solved = []
+    for j in users:
+        others = np.arange(k) != j
+        s_j = weighted[:, others] @ g[:, others].conj().T + eye
+        s_j = 0.5 * (s_j + s_j.conj().T)
+        solved.append(_cholesky_solve(s_j, g, f"interference matrix for user {j}"))
+    return solved
 
 
 class _MmseState(NamedTuple):
@@ -89,10 +88,7 @@ def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseSta
         raise NumericError("effective channel contains non-finite entries")
     a = (g * p) @ g.conj().T
     a.flat[::m + 1] += sigma2
-    factor, info = lapack.zpotrf(a, lower=1, clean=0)
-    if info != 0:
-        raise NumericError("interference-plus-noise matrix is not positive definite")
-    x, _ = lapack.zpotrs(factor, g, lower=1)
+    x = _cholesky_solve(a, g, "interference-plus-noise matrix")
     gram = g.conj().T @ x
     q = gram.diagonal().real
     slack = 1.0 - p * q
@@ -102,9 +98,8 @@ def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseSta
     couplings = gram / slack[:, None]
     sinr = p * q / slack
     if low.any():
-        factors = interference_cholesky(g, p, sigma2)
-        for j in np.flatnonzero(low):
-            solved = sla.cho_solve(factors[j], g, check_finite=False)
+        users = np.flatnonzero(low)
+        for j, solved in zip(users, interference_cholesky(g, p, sigma2, users)):
             directions[:, j] = solved[:, j]
             couplings[j] = g[:, j].conj() @ solved
             sinr[j] = p[j] * couplings[j, j].real

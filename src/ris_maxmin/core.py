@@ -1,8 +1,9 @@
 """Shared value types and the exact uplink SINR arithmetic.
 
-The fixed-combiner SINR has one formula, GainTable.sinr: sinr_per_user and
-power.max_min_power both evaluate it, and the alternating loop scores every
-operating point with it.
+The fixed-combiner SINR is one model with two evaluations. GainTable.sinr
+scores an operating point: for sinr_per_user, power.max_min_power and the
+alternating loop. phase.QuadraticFormSet.sinr_batch scores candidate
+phases for quant and sdr; the phase module says why both stay.
 
 All powers are stored in watts and all SINRs in linear scale; dBm/dB
 conversions happen only at the CLI/CSV boundary. Every type here is an
@@ -79,21 +80,30 @@ class SystemConfig:
             if int(getattr(self, name)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
             object.__setattr__(self, name, int(getattr(self, name)))
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.sigma2 is None:
             object.__setattr__(self, "sigma2", noise_power(self.bandwidth_hz))
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.p_max <= 0:
-            raise ConfigurationError(f"p_max must be positive, got {self.p_max}")
-        if not self.r_min < self.r_max:
-            raise ConfigurationError(f"need r_min < r_max, got {self.r_min} >= {self.r_max}")
-        if not 0.0 <= self.ris_corr_rho < 1.0:
-            raise ConfigurationError(f"ris_corr_rho must lie in [0, 1), got {self.ris_corr_rho}")
-        object.__setattr__(self, "sar_ref", _as_float_array(self.sar_ref, self.k, "sar_ref"))
-        object.__setattr__(self, "emf_max", _as_float_array(self.emf_max, self.k, "emf_max"))
         object.__setattr__(self, "ris_position", (float(self.ris_position[0]), float(self.ris_position[1])))
+        # field -> (whether it holds, the rule); each test fails on nan
+        ranges = {
+            "alpha": (0.0 < self.alpha <= 1.0, "lie in (0, 1]"),
+            "sigma2": (0.0 < self.sigma2 < np.inf, "be finite and positive"),
+            "p_max": (self.p_max > 0.0, "be positive"),
+            "kappa": (0.0 <= self.kappa < np.inf, "be finite and >= 0"),
+            "r_min": (0.0 <= self.r_min < self.r_max, f"lie in [0, r_max = {self.r_max})"),
+            "d_bs": (self.d_bs > 0.0, "be positive"),
+            "d_ris": (self.d_ris > 0.0, "be positive"),
+            "ris_corr_rho": (0.0 <= self.ris_corr_rho < 1.0, "lie in [0, 1)"),
+            "ris_position": (np.all(np.isfinite(self.ris_position)) and self.ris_position != (0.0, 0.0),
+                             "be finite and differ from the BS position, the origin"),
+        }
+        for name, (holds, rule) in ranges.items():
+            if not holds:
+                raise ConfigurationError(f"{name} must {rule}, got {getattr(self, name)}")
+        for name in ("sar_ref", "emf_max"):
+            arr = _as_float_array(getattr(self, name), self.k, name)
+            if not np.all(arr > 0.0):
+                raise ConfigurationError(f"{name} entries must be positive, got {arr.tolist()}")
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +153,6 @@ class ChannelRealization:
     @property
     def k(self) -> int:
         return self.h2.shape[0]
-
-    def cascade_matrix(self) -> np.ndarray:
-        """The (m, n) product h1 @ ris_corr_sqrt shared by every optimizer."""
-        return self.cascade
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +277,7 @@ def effective_channel(chan: ChannelRealization, phase: PhaseVector) -> np.ndarra
     """
     if phase.n != chan.n:
         raise ConfigurationError(f"phase has {phase.n} elements but channel has {chan.n}")
-    return chan.cascade_matrix() @ (phase.phi_vec[:, None] * chan.h2.T)
+    return chan.cascade @ (phase.phi_vec[:, None] * chan.h2.T)
 
 
 @dataclass(frozen=True, eq=False)

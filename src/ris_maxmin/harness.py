@@ -51,9 +51,15 @@ class ExperimentPlan:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; expected a subset of {METHODS}")
-        for key in ("k_grid", "m_grid", "n_grid"):
-            if any(v < 1 for v in getattr(self, key)):
-                raise ConfigurationError(f"{key} entries must be >= 1, got {getattr(self, key)}")
+        for key in ("methods", "k_grid", "m_grid", "n_grid", "b_grid"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigurationError(f"{key} must not be empty")
+            # a repeated method or depth would rerun one draw on one rng stream
+            if key in ("methods", "b_grid") and len(set(values)) < len(values):
+                raise ConfigurationError(f"{key} must not repeat an entry, got {values}")
+            if key in ("k_grid", "m_grid", "n_grid") and any(v < 1 for v in values):
+                raise ConfigurationError(f"{key} entries must be >= 1, got {values}")
         # one swap of the quant heuristic tries every one of the 2^B levels
         max_bits = QUANT_MAX_EVALS.bit_length() - 1
         if any(not 1 <= b <= max_bits for b in self.b_grid):

@@ -1,8 +1,7 @@
 """RIS phase optimization: quadratic-form machinery, the smooth-min phase
 steps, and the quantized random-swap heuristic.
 
-Phases are scored under one of two combiner models, each with one
-evaluation path.
+Phases are scored under one of two combiner models.
 
 Fixed combiners (the ``quant`` objective and ``sdr``): the SINR of user k
 is a ratio of quadratic forms in the scaled phase vector u = alpha * phi,
@@ -13,13 +12,17 @@ where v[k,i] = conj(h2[i]) * ((h1 @ ris_corr_sqrt)^H b_k). Note the pair
 indexing: interference from user i flows through user k's combiner, so one
 vector per (combiner, transmitter) pair is needed to reproduce the true
 SINR. The diagonal v[k,k] satisfies v[k,k]^H u = b_k^H g_k exactly.
-QuadraticFormSet.sinr_batch is the one formula, on the pair matrix and
-power split the set builds once; sdr's level model reads the same two.
-Both it and QuadraticFormSet.min_sinr take one (n,) vector or an (n, c)
-matrix of candidates, one per column. The ``quant`` objective is min_sinr
-on such a matrix: quantized_heuristic_phase scores all of a picked
-element's other grid levels in one call and replays its serial accept
-rule over the values.
+QuadraticFormSet.sinr_batch scores candidate phases on the pair matrix
+and power split the set builds once (sdr's level model reads the same
+two); core.GainTable.sinr scores one operating point. The two sum the
+same terms in another order (2.7e-15 relative apart, at most, on 270
+random cases). Both stay: 7 candidates at k=6 cost 11 us here against
+32 us through gain tables (one BLAS thread), and the split form would
+move the last bits of the loop's guard, which break ties at k=2.
+sinr_batch and min_sinr take one (n,) vector or an (n, c) matrix of
+candidates, one per column. The ``quant`` objective is min_sinr on such
+a matrix: quantized_heuristic_phase scores all of a picked element's
+other grid levels in one call and replays its accept rule over them.
 
 MMSE combiners (the ``lse`` steps): each candidate's effective channels go
 through beamforming.post_bf_sinr_values, whose one factorization also
@@ -37,7 +40,6 @@ starts.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
@@ -120,8 +122,7 @@ def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     rows = _bf_matrix(bf)
     p = _power_array(powers)
-    cascade = chan.cascade_matrix()
-    projected = cascade.conj().T @ rows.T          # column k: (h1 R^(1/2))^H b_k
+    projected = chan.cascade.conj().T @ rows.T          # column k: (h1 R^(1/2))^H b_k
     pair = chan.h2.conj()[None, :, :] * projected.T[:, None, :]
     return QuadraticFormSet(
         pair_vectors=pair,
@@ -144,47 +145,16 @@ def lse_objective(sinr_values) -> float:
     return float(shift + np.log(np.sum(np.exp(x - shift))))
 
 
-def sinr_phase_derivative(chan: ChannelRealization, powers, phase: PhaseVector,
-                          sigma2: float):
-    """Complex derivative of every post-combining SINR w.r.t. every phase.
-
-    Returns (deriv, sinr): ``deriv[k, n]`` is the Wirtinger derivative of
-    sinr_k with respect to conj(phi_n) (the amplitude factor included), and
-    sinr_k = p_k g_k^H T_k g_k with T_k = (S_k + sigma2*I)^{-1}. Writing
-    C = h1 @ ris_corr_sqrt and c_ki = g_k^H T_k g_i,
-
-        deriv[k] = p_k * alpha * (conj(h2[k]) - sum_{i != k} p_i c_ki conj(h2[i])) * (C^H T_k g_k)
-
-    elementwise over n, which is the trace form of the matrix-inverse
-    derivative identity collapsed onto rank-one factors. The real tangent
-    along the unit circle is 2*Re(j * phi_n * conj(deriv[k, n])).
-
-    No T_k is formed: every T_k g_k and c_ki comes from one factorization
-    of A = sum_i p_i g_i g_i^H + sigma2*I by Sherman-Morrison (see
-    ``beamforming``), T_k g_k = x_k / s_k and c_ki = g_k^H x_i / s_k with
-    X = A^{-1} G and slack s_k = 1 - p_k g_k^H x_k = 1 / (1 + sinr_k); a
-    user whose slack cancels takes its own factorization of S_k + sigma2*I.
-    """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
-    g = effective_channel(chan, phase)
-    deriv, sinr, _ = _derivative_terms(chan, g, _power_array(powers), phase, sigma2)
-    return deriv, sinr
-
-
-def _derivative_terms(chan: ChannelRealization, g: np.ndarray, p: np.ndarray,
-                      phase: PhaseVector, sigma2: float, state=None):
-    """sinr_phase_derivative at the effective channels ``g``, plus the
-    couplings: couplings[j, i] = g_j^H T_j g_i. ``state``, when given, is
-    the _MmseState already factored at (g, p, sigma2)."""
-    if state is None:
-        state = post_bf_sinr_values(g, p, sigma2)
+def _derivative_terms(chan: ChannelRealization, p: np.ndarray, phase: PhaseVector,
+                      state) -> np.ndarray:
+    """deriv[k, n] of sinr_phase_tangent, the Wirtinger derivative of sinr_k
+    with respect to conj(phi_n), from the _MmseState ``state`` factored at
+    the powers ``p`` and the effective channels of ``phase``."""
     weights = -p * state.couplings
     np.fill_diagonal(weights, 1.0)
-    combo = weights @ chan.h2.conj()                                   # (k, n)
-    projected = (chan.cascade_matrix().conj().T @ state.directions).T  # C^H T_j g_j
-    deriv = (phase.alpha * p)[:, None] * combo * projected
-    return deriv, state.sinr, state.couplings
+    combo = weights @ chan.h2.conj()                           # (k, n)
+    projected = (chan.cascade.conj().T @ state.directions).T   # C^H T_j g_j
+    return (phase.alpha * p)[:, None] * combo * projected
 
 
 def _tangent(phase: PhaseVector, deriv: np.ndarray) -> np.ndarray:
@@ -193,9 +163,26 @@ def _tangent(phase: PhaseVector, deriv: np.ndarray) -> np.ndarray:
 
 def sinr_phase_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
                        sigma2: float):
-    """Real derivative of every post-combining SINR along each phase angle."""
-    deriv, sinr = sinr_phase_derivative(chan, powers, phase, sigma2)
-    return _tangent(phase, deriv), sinr
+    """Real derivative of every post-combining SINR along each phase angle.
+
+    Returns (tangent, sinr): ``tangent[k, n]`` is d sinr_k / d theta_n, and
+    sinr_k = p_k g_k^H T_k g_k with T_k = (S_k + sigma2*I)^{-1}. Writing
+    C = h1 @ ris_corr_sqrt and c_ki = g_k^H T_k g_i, the Wirtinger
+    derivative of sinr_k with respect to conj(phi_n) (the amplitude factor
+    included) is, elementwise over n,
+
+        deriv[k] = p_k * alpha * (conj(h2[k]) - sum_{i != k} p_i c_ki conj(h2[i])) * (C^H T_k g_k),
+
+    the trace form of the matrix-inverse derivative identity collapsed onto
+    rank-one factors, and the tangent along the unit circle is
+    2*Re(j * phi_n * conj(deriv[k, n])). No T_k is formed: every T_k g_k
+    and c_ki comes from the one MMSE kernel, beamforming.post_bf_sinr_values.
+    """
+    if sigma2 <= 0:
+        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    p = _power_array(powers)
+    state = post_bf_sinr_values(effective_channel(chan, phase), p, sigma2)
+    return _tangent(phase, _derivative_terms(chan, p, phase, state)), state.sinr
 
 
 def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
@@ -213,8 +200,8 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     where S is the Jacobian of the balance equations in (p without p_b,
     tau): d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the
     diagonal, with c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i, and column b
-    holding tau's -1 (power._balance_system, the system the power step's
-    Newton iteration solves). One solve with the n angles as right-hand
+    holding tau's -1 (power._balance_system, the solver the power step's
+    Newton iteration calls). One solve with the n angles as right-hand
     sides gives both answers: row b of X is grad tau, and the other rows are
     d p_i / d theta. Returns (gradient, the power-control result, the (k, n)
     power slope with row b zero, since p_b stays at its cap); ``start``
@@ -230,12 +217,12 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
         return np.zeros(phase.n), result, np.zeros((cap.size, phase.n))
     p = result.power.p
     # the power step returns the factorization it took at this very (g, p*)
-    deriv, _, couplings = _derivative_terms(chan, g, p, phase, sigma2, result.mmse_state)
-    binding = int(np.argmax(p / cap))
-    *_, sensitivity, info = lapack.dgesv(_balance_system(couplings, p, binding),
-                                         -_tangent(phase, deriv))
-    if info != 0:
+    state = result.mmse_state
+    deriv = _derivative_terms(chan, p, phase, state)
+    solved = _balance_system(state.couplings, p, cap, -_tangent(phase, deriv))
+    if solved is None:
         raise np.linalg.LinAlgError("balance system of the max-min powers is singular")
+    binding, sensitivity = solved
     gradient = sensitivity[binding].copy()
     sensitivity[binding] = 0.0
     return gradient, result, sensitivity

@@ -20,11 +20,13 @@ I_k(p) = p_k / sinr_k(p) = 1 / (g_k^H (S_k + sigma2*I)^{-1} g_k) is a
 standard interference function, and the optimum is the unique power vector
 that equalizes every SINR at the largest common value tau with the binding
 user b at its cap. It solves the balance equations sinr(p) = tau * 1 in the
-unknowns (p without p_b, tau) by Newton steps, whose Jacobian
-(``_balance_system``) comes from the couplings of the factorization that
-already gave the SINRs; phase.max_min_sinr_tangent solves the same
-system for the slopes of tau and of the powers over the phases. A step
-that cannot be trusted is replaced by one step of the normalized fixed point
+unknowns (p without p_b, tau) by Newton steps, whose Jacobian comes
+from the couplings of the factorization that already gave the SINRs.
+``_balance_system`` is the one solver of that system: it picks the binding
+user, builds the bordered Jacobian and solves it, for the Newton step here
+and for phase.max_min_sinr_tangent's slopes of tau and of the powers over
+the phases. A step that cannot be trusted is replaced by one step of the
+normalized fixed point
 
     p <- I(p) / max_k(I_k(p) / cap_k),
 
@@ -97,29 +99,31 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     return PowerControlResult(PowerAllocation(p), float(gains.sinr(p).min()), False)
 
 
-def _balance_system(couplings: np.ndarray, p: np.ndarray, binding: int) -> np.ndarray:
-    """Jacobian of the balance equations sinr(p) - tau * 1 in (p without p_b, tau).
+def _balance_system(couplings: np.ndarray, p: np.ndarray, cap: np.ndarray, rhs: np.ndarray):
+    """(b, X) solving J X = rhs, J the Jacobian of the balance equations
+    sinr(p) - tau * 1 in (p without p_b, tau); None when J is singular.
 
     d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the diagonal,
-    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i (_MmseState.couplings). The
-    binding user b is held at its cap, so column b carries tau's -1 column.
-    """
+    where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i (_MmseState.couplings).
+    The binding user b = argmax p / cap is held at its cap, so column b
+    carries tau's -1 column, and row b of X is tau's entry."""
+    binding = int(np.argmax(p / cap))
     system = -p[:, None] * np.abs(couplings) ** 2
     system.flat[::p.size + 1] = couplings.diagonal().real
     system[:, binding] = -1.0
-    return system
+    *_, solution, info = lapack.dgesv(system, rhs)
+    return None if info != 0 else (binding, solution)
 
 
 def _newton_powers(state, p: np.ndarray, cap: np.ndarray):
     """One Newton step on the balance equations from powers p (binding user at
     its cap), renormalized onto the caps; None when the solve is singular or a
     power would not stay positive."""
-    binding = int(np.argmax(p / cap))
     # the tau entry absorbs any common target, so aim at the smallest SINR
-    *_, step, info = lapack.dgesv(_balance_system(state.couplings, p, binding),
-                                  state.sinr.min() - state.sinr)
-    if info != 0:
+    solved = _balance_system(state.couplings, p, cap, state.sinr.min() - state.sinr)
+    if solved is None:
         return None
+    binding, step = solved
     step[binding] = 0.0
     p_new = p + step
     if not np.all(p_new > 0.0):

@@ -25,7 +25,7 @@ def post_bf_sinr(chan, phase, powers, sigma2) -> SinrReport:
 def finite_difference_tangent(chan, powers, phase, sigma2, step=1e-6) -> np.ndarray:
     """Central finite differences of the post-combining SINRs over each angle."""
     p = _power_array(powers)
-    cascade = chan.cascade_matrix()
+    cascade = chan.cascade
 
     def values(theta):
         g = cascade @ ((phase.alpha * np.exp(1j * theta))[:, None] * chan.h2.T)

@@ -53,6 +53,14 @@ REJECTIONS = {
     "b_grid: 40": "b_grid entries must lie in 1..17",
     "quant_window: 0": "unknown key 'quant_window'",
     "quant_epsilon: 0": "unknown key 'quant_epsilon'", "n_rand: -1": "unknown key 'n_rand'",
+    "kappa: -1": "kappa must be finite and >= 0, got -1",
+    "emf_max: 0": "emf_max entries must be positive", "emf_max: -1": "emf_max entries must be positive",
+    "sar_ref: 0": "sar_ref entries must be positive", "d_bs: 0": "d_bs must be positive, got 0",
+    "ris_position_m: 0, 0": "ris_position must be finite and differ from the BS position",
+    "ris_position_m: nan, 1": "ris_position must be finite", "sigma2_w: inf": "sigma2 must be finite",
+    "r_min_m: -5": "r_min must lie in [0, r_max = 70.0), got -5",
+    "methods: lse, lse": "methods must not repeat an entry, got ('lse', 'lse')",
+    "b_grid: 3, 3": "b_grid must not repeat an entry, got (3, 3)",
 }
 
 

@@ -28,6 +28,15 @@ def test_config_defaults_and_noise():
     dict(m=1, n=1, k=1, sigma2=-1.0),
     dict(m=1, n=1, k=1, p_max=0.0),
     dict(m=1, n=1, k=1, r_min=70.0, r_max=10.0),
+    dict(m=1, n=1, k=1, kappa=-1.0),
+    dict(m=1, n=1, k=2, sar_ref=0.0),
+    dict(m=1, n=1, k=2, sar_ref=(63e-4, -1.0)),
+    dict(m=1, n=1, k=1, emf_max=0.0),
+    dict(m=1, n=1, k=2, emf_max=(0.0029, -1.0)),
+    dict(m=1, n=1, k=1, d_bs=0.0),
+    dict(m=1, n=1, k=1, d_ris=-0.5),
+    dict(m=1, n=1, k=1, ris_position=(0.0, 0.0)),
+    dict(m=1, n=1, k=1, r_min=-5.0),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigurationError):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ris_maxmin
-from ris_maxmin import ConfigurationError, alternating, run_experiment
+from ris_maxmin import (ConfigurationError, ExperimentPlan, alternating,
+                        run_experiment)
 from ris_maxmin.harness import (CONFIG_KEYS, CSV_COLUMNS, derive_trial_seed,
                                 dump_config, load_config, parse_config_text,
                                 records_to_csv_text)
@@ -98,6 +99,18 @@ def test_duplicate_key_rejected():
 def test_bad_method_rejected():
     with pytest.raises(ConfigurationError, match="unknown methods"):
         parse_config_text(MINIMAL + "methods: lse, genie\n")
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(), "k_grid"),
+    (dict(methods=(), k_grid=(2,), m_grid=(3,), n_grid=(4,)), "methods"),
+    (dict(k_grid=(2,), m_grid=(3,), n_grid=(4,), b_grid=()), "b_grid"),
+])
+def test_an_empty_plan_is_rejected(kwargs, key):
+    """A plan built in code with an empty method list or grid would run
+    nothing and return no rows; it is rejected, naming the key."""
+    with pytest.raises(ConfigurationError, match=f"{key} must not be empty"):
+        ExperimentPlan(trials=2, seed=1, **kwargs)
 
 
 def test_b_grid_bound_follows_the_quant_budget():

@@ -15,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,9 +49,10 @@ def per_user_oracle(g, p, sigma2):
 
 
 def derivative_oracle(chan, g, p, phase, sigma2):
-    """The per-user loop of sinr_phase_derivative on the oracle's quantities."""
+    """The per-user loop of the Wirtinger derivative of sinr_phase_tangent on
+    the oracle's quantities."""
     directions, _, couplings = per_user_oracle(g, p, sigma2)
-    cascade = chan.cascade_matrix()
+    cascade = chan.cascade
     deriv = np.zeros((p.size, chan.n), dtype=complex)
     for j in range(p.size):
         weights = -p * couplings[j]
@@ -117,10 +119,8 @@ def test_kernel_matches_per_user_oracle(seed, m, k, log_sinr, zero_user):
     assert_rows_close(state.couplings, couplings, RTOL)
     assert_rows_close(state.directions.T, directions.T, RTOL)
 
-    deriv, deriv_sinr, deriv_couplings = _derivative_terms(chan, g, p, phase, sigma2)
+    deriv = _derivative_terms(chan, p, phase, state)
     assert_rows_close(deriv, derivative_oracle(chan, g, p, phase, sigma2), RTOL)
-    assert np.array_equal(deriv_sinr, state.sinr)
-    assert np.array_equal(deriv_couplings, state.couplings)
 
     rows = optimal_beamformers(chan, phase, p, sigma2).rows
     live = np.linalg.norm(g, axis=0) > 0
@@ -144,6 +144,35 @@ def test_fallback_rescues_the_cancelled_slack():
         state = beamforming.post_bf_sinr_values(g, p, 1.0)
     assert fallback.call_count == 1
     assert abs(state.sinr[0] / sinr[0] - 1.0) <= RTOL
+
+
+@pytest.mark.parametrize("m, k", [(4, 3), (4, 5), (2, 4)])
+def test_fallback_factors_only_the_users_that_need_it(monkeypatch, m, k):
+    """With one user above SINR 1/SLACK_FALLBACK, a kernel call factors the
+    shared matrix and that user's interference matrix: 2 factorizations in
+    all, whichever LAPACK route they take, not 1 + k."""
+    chan, phase, p = strong_user_case(11, m, k, 8.0, False)
+    g = effective_channel(chan, phase)
+    _, sinr, _ = per_user_oracle(g, p, 1.0)
+    assert sinr[0] > 2.0 / beamforming.SLACK_FALLBACK
+    assert np.all(sinr[1:] < 0.5 / beamforming.SLACK_FALLBACK)
+
+    factorizations = []
+
+    def counted(original):
+        def call(*args, **kwargs):
+            factorizations.append(1)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(beamforming.lapack, "zpotrf", counted(beamforming.lapack.zpotrf))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted(scipy.linalg.cho_factor))
+    with mock.patch.object(beamforming, "interference_cholesky",
+                           wraps=beamforming.interference_cholesky) as fallback:
+        state = beamforming.post_bf_sinr_values(g, p, 1.0)
+    assert fallback.call_count == 1
+    assert len(factorizations) == 2
+    assert np.all(np.abs(state.sinr - sinr) <= RTOL * sinr)
 
 
 def _cold_and_warm_steps(monkeypatch):
@@ -264,9 +293,10 @@ def test_kernel_rejects_an_indefinite_matrix():
 
 
 def test_singular_balance_system_takes_the_fixed_point_step(monkeypatch):
-    """With a singular balance system there is no Newton step: _newton_powers
-    returns None, every step is the normalized fixed point, and the call
-    still reaches the Newton optimum, with more factorizations. The tangent
+    """With a singular balance system there is no Newton step: the one
+    solver, power._balance_system, returns None, so _newton_powers returns
+    None, every step is the normalized fixed point, and the call still
+    reaches the Newton optimum, with more factorizations. The tangent
     cannot solve the same system and raises."""
     rng = np.random.default_rng(9)
     g = complex_normal(rng, (3, 4))
@@ -280,18 +310,20 @@ def test_singular_balance_system_takes_the_fixed_point_step(monkeypatch):
         calls.append(1)
         return original(g, p, sigma2)
 
-    def singular(couplings, p, binding):
-        return np.zeros((p.size, p.size))
+    def singular(a, b):
+        # what LAPACK's dgesv reports for an exactly singular system: info > 0
+        return a, np.zeros(len(a), dtype=np.int32), b, 1
 
     monkeypatch.setattr(power, "post_bf_sinr_values", counted)
-    monkeypatch.setattr(power, "_balance_system", singular)
-    assert power._newton_powers(newton.mmse_state, newton.power.p, cap) is None
+    monkeypatch.setattr(power.lapack, "dgesv", singular)
+    state = newton.mmse_state
+    assert power._balance_system(state.couplings, newton.power.p, cap, -state.sinr) is None
+    assert power._newton_powers(state, newton.power.p, cap) is None
     calls.clear()
     fixed_point = mmse_max_min_power(g, cap, 0.5)
     assert fixed_point.tau == pytest.approx(newton.tau, rel=1e-9)
     assert len(calls) > 8
 
-    monkeypatch.setattr(phase_module, "_balance_system", singular)
     chan = synth_channel(rng, 3, 5, 4)
     with pytest.raises(np.linalg.LinAlgError):
         max_min_sinr_tangent(chan, PhaseVector.random(5, 1.0, rng), cap, 0.5)

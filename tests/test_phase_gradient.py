@@ -4,7 +4,7 @@ import pytest
 from ris_maxmin import (PhaseVector, effective_channel, lse_gradient_phase,
                         sinr_phase_tangent)
 from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
-                              max_min_sinr_tangent, sinr_phase_derivative)
+                              max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
 
 from conftest import random_phase, synth_channel
@@ -65,9 +65,9 @@ def test_zero_power_user_has_zero_derivative(rng):
     chan = synth_channel(rng, 3, 4, 3)
     phase = random_phase(rng, 4)
     p = np.array([0.5, 0.0, 0.7])
-    deriv, sinr = sinr_phase_derivative(chan, p, phase, 1.0)
+    tangent, sinr = sinr_phase_tangent(chan, p, phase, 1.0)
     assert sinr[1] == 0.0
-    assert np.all(deriv[1] == 0.0)
+    assert np.all(tangent[1] == 0.0)
 
 
 def test_single_element_tangent_vanishes(rng):
@@ -82,7 +82,7 @@ def test_derivative_reports_post_bf_sinr(rng):
     chan = synth_channel(rng, 4, 3, 2)
     phase = random_phase(rng, 3)
     p = rng.uniform(0.2, 1.0, 2)
-    _, sinr = sinr_phase_derivative(chan, p, phase, 0.9)
+    _, sinr = sinr_phase_tangent(chan, p, phase, 0.9)
     rep = post_bf_sinr(chan, phase, p, 0.9)
     assert np.allclose(sinr, rep.per_user, rtol=1e-12)
 
