@@ -19,6 +19,7 @@ combiners. The other phase methods optimize the fixed-combiner,
 fixed-power objective directly and propose new phases alone.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .beamforming import optimal_beamformers
 from .core import (Beamformer, ChannelRealization, PhaseVector,
                    PowerAllocation, SinrReport, SystemConfig, gain_table,
                    sinr_per_user)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
                     quantized_heuristic_phase)
@@ -79,6 +80,14 @@ def _phase_proposal(method, config, chan, phase, power, bf, p_cap, rng, phase_op
     return out.phase, power, bf, out.warning
 
 
+def _scored(table, power: PowerAllocation, stage: str) -> float:
+    """The minimum SINR of an operating point; a nan minimum is a solver fault."""
+    value = float(table.sinr(power.p).min())
+    if math.isnan(value):
+        raise NumericError(f"the {stage} stage scored a nan minimum SINR")
+    return value
+
+
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
                          rng: np.random.Generator, tol: float = SWEEP_TOL,
                          max_sweeps: int = MAX_SWEEPS,
@@ -120,7 +129,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
         # combiner step: per-user optimal, so the minimum cannot drop
         bf_new = optimal_beamformers(chan, phase, power, sigma2)
         table_new = gain_table(chan, phase, bf_new, sigma2)
-        candidate = float(table_new.sinr(power.p).min())
+        candidate = _scored(table_new, power, "bf")
         if candidate >= current:
             bf, table, current = bf_new, table_new, candidate
         trace.append(("bf", current))
@@ -140,7 +149,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             if warning:
                 diagnostics.append(f"sweep {sweeps}: {warning}")
             table_new = gain_table(chan, phase_new, bf_new, sigma2)
-            candidate = float(table_new.sinr(power_new.p).min())
+            candidate = _scored(table_new, power_new, "phase")
             if candidate >= current:
                 phase, power, bf, table = phase_new, power_new, bf_new, table_new
                 current = candidate

@@ -171,28 +171,27 @@ def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRea
 CHANNEL_DUMP_HEADER = "ris-uplink-channel 1"
 
 
+def _complex_block(tag: str, arr) -> str:
+    """One array's block of the dump: the tag line, then one "re im" line per entry."""
+    # Python complex scalars from tolist() format faster than numpy ones, to the same bytes
+    return "".join([tag + "\n"] + [f"{z.real:.17g} {z.imag:.17g}\n" for z in np.ravel(arr).tolist()])
+
+
+def _dump_around_correlation(chan: ChannelRealization) -> tuple[str, str]:
+    """The dump text before and after its RIS_CORR_SQRT block."""
+    positions = "".join(f"{x:.17g} {y:.17g}\n" for x, y in chan.user_positions.tolist())
+    head = f"{CHANNEL_DUMP_HEADER}\nM {chan.m}\nN {chan.n}\nK {chan.k}\n" + _complex_block("H1", chan.h1)
+    return head, _complex_block("H2", chan.h2) + "POSITIONS\n" + positions + "END\n"
+
+
 def dump_channel_text(chan: ChannelRealization) -> str:
     """Serialize one realization as a self-describing text record.
 
     Layout: a format line, dimension lines, then each array as one
     "re im" pair per line in row-major order, 17 significant digits.
     """
-    lines = [CHANNEL_DUMP_HEADER, f"M {chan.m}", f"N {chan.n}", f"K {chan.k}"]
-
-    def emit_complex(tag, arr):
-        lines.append(tag)
-        # Python complex scalars from tolist() format faster than numpy ones, to the same bytes
-        for z in np.ravel(arr).tolist():
-            lines.append(f"{z.real:.17g} {z.imag:.17g}")
-
-    emit_complex("H1", chan.h1)
-    emit_complex("RIS_CORR_SQRT", chan.ris_corr_sqrt)
-    emit_complex("H2", chan.h2)
-    lines.append("POSITIONS")
-    for x, y in chan.user_positions.tolist():
-        lines.append(f"{x:.17g} {y:.17g}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    head, tail = _dump_around_correlation(chan)
+    return head + _complex_block("RIS_CORR_SQRT", chan.ris_corr_sqrt) + tail
 
 
 def load_channel_text(text: str) -> ChannelRealization:

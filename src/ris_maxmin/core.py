@@ -11,6 +11,8 @@ immutable value object and every operation is a pure function, so they are
 safe to share across threads.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,12 @@ def db10(x):
     """Linear power ratio to dB; zero maps to -inf."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(x)
+
+
+# a link multiplies two antenna gains: within +-_MAX_GAIN_DB dBi each, its
+# linear gain stays finite and nonzero; above _MAX_RADIUS a square overflows
+_MAX_GAIN_DB = 5.0 * math.log10(sys.float_info.max)
+_MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
 def _as_float_array(value, k: int, name: str) -> np.ndarray:
@@ -85,10 +93,14 @@ class SystemConfig:
         object.__setattr__(self, "ris_position", (float(self.ris_position[0]), float(self.ris_position[1])))
         # field -> (whether it holds, the rule); each test fails on nan
         ranges = {
+            **{name: (abs(getattr(self, name)) < _MAX_GAIN_DB,
+                      f"be finite, within +-{_MAX_GAIN_DB:.0f} dBi (a link's linear gain must be finite)")
+               for name in ("gain_bs_dbi", "gain_ris_dbi", "gain_user_dbi")},
             "alpha": (0.0 < self.alpha <= 1.0, "lie in (0, 1]"),
             "sigma2": (0.0 < self.sigma2 < np.inf, "be finite and positive"),
             "p_max": (self.p_max > 0.0, "be positive"),
             "kappa": (0.0 <= self.kappa < np.inf, "be finite and >= 0"),
+            "r_max": (self.r_max < _MAX_RADIUS, "be finite, with a finite square"),
             "r_min": (0.0 <= self.r_min < self.r_max, f"lie in [0, r_max = {self.r_max})"),
             "d_bs": (self.d_bs > 0.0, "be positive"),
             "d_ris": (self.d_ris > 0.0, "be positive"),
@@ -104,6 +116,9 @@ class SystemConfig:
             if not np.all(arr > 0.0):
                 raise ConfigurationError(f"{name} entries must be positive, got {arr.tolist()}")
             object.__setattr__(self, name, arr)
+        # an infinite SAR reference makes a zero power cap; an infinite emf_max leaves p_max
+        if not np.all(np.isfinite(self.sar_ref)):
+            raise ConfigurationError(f"sar_ref entries must be finite, got {self.sar_ref.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)

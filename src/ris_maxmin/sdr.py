@@ -11,6 +11,17 @@ is climbed in the factorization V = L L^H with alpha-norm rows, which makes
 both constraints hold exactly by construction: a smoothed-min gradient
 ascent over the product of row spheres with backtracking line search.
 
+The line search tries the step lengths step, step/2, step/4, ... in turn
+and accepts the first whose smoothed minimum rises; every rejection counts
+one backtrack, and a search that rejects STEP_TRIES lengths ends the
+ascent. At k=6, n=24 nearly every search ends by its second try (most
+reject the grown step and accept its half), so each pass scores the next
+STEP_BATCH lengths as one (STEP_BATCH, n, r) stack of factors and then
+replays the accept rule over them in order. The stacked products give
+every factor the bits it gets alone, so the accepted step, the counters
+and the iterates are those of scoring one length at a time; only the
+lengths after the accepted one are scored in vain.
+
 C_k(lam) is affine in lam, so one level model serves the whole call: a
 single pass over the pair gains |b_ki^H L|^2 gives every user's signal
 s_k = p_k <R_kk, V> and denominator d_k = sum_{i != k} p_i <R_ki, V> +
@@ -73,6 +84,8 @@ INNER_ITERS = 300       # inner ascent steps per level, at most
 STEP_INIT = 0.5         # inner step: starts here, halves on rejection,
 STEP_GROW = 1.6         # grows by STEP_GROW on acceptance,
 STEP_MAX = 10.0         # up to STEP_MAX
+STEP_TRIES = 30         # step lengths a line search tries before the ascent stops,
+STEP_BATCH = 2          # scored STEP_BATCH at a time in one stacked pass
 INIT_SPREAD = 0.05      # nudge of the warm start off the rank-one corner
 N_RAND = 200            # Gaussian randomization draws when the best lifted matrix is not rank one
 
@@ -106,9 +119,9 @@ class SdrResult:
 
 
 def _row_sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norm of every row of a C-contiguous complex matrix."""
+    """Squared norm of every row of a C-contiguous complex matrix, or of each matrix of a stack."""
     real = a.view(float)
-    return np.einsum("ij,ij->i", real, real)
+    return np.einsum("...ij,...ij->...i", real, real)
 
 
 class _LevelModel:
@@ -129,38 +142,48 @@ class _LevelModel:
         self.pair_t = np.ascontiguousarray(forms.pair_vectors.reshape(k * k, forms.n).T)
         self.noise = forms.noise
         rows = np.arange(k * k)
-        self.signal_coef = forms.split[rows, rows // k]
-        self.interference_coef = forms.split[rows, k + rows // k]
+        self.signal_coef = forms.split[rows, rows // k].reshape(k, k)
+        self.interference_coef = forms.split[rows, k + rows // k].reshape(k, k)
 
     def coef(self, lam: float) -> np.ndarray:
-        """Flat (k*k,) weight of every pair gain in the levels at lam."""
+        """(k, k) weight of pair gain (k, i) in user k's level at lam."""
         return self.signal_coef - lam * self.interference_coef
 
-    def stats(self, factor: np.ndarray):
-        """Projections T = b_ki^H L, signals and denominators."""
-        t = self.pair_conj @ factor
-        parts = _row_sq_norms(t) @ self.split
-        return t, parts[:self.k], parts[self.k:] + self.noise
+    def stats(self, factors: np.ndarray):
+        """Projections T = b_ki^H L, signals and denominators of a (c, n, r) stack of factors.
+
+        Each factor gets the bits it would get alone: the stacked product runs
+        one gemm per factor, and the split is applied to a (c, 1, K*K) stack of
+        rows (a (c, K*K) matrix product would sum in another order).
+        """
+        t = np.matmul(self.pair_conj, factors)
+        parts = (_row_sq_norms(t)[:, None, :] @ self.split)[:, 0]
+        return t, parts[:, :self.k], parts[:, self.k:] + self.noise
 
     def gradient(self, t: np.ndarray, weights: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Wirtinger gradient w.r.t. conj(L) of the weights-averaged levels."""
-        folded = np.repeat(weights, self.k) * coef
-        return self.pair_t @ (folded[:, None] * t)
+        folded = (weights[:, None] * coef).reshape(-1, 1)
+        return self.pair_t @ (folded * t)
 
 
 def _normalize_rows(factor: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows of a factor, or of each factor of a stack, scaled to norm alpha; a zero row
+    becomes alpha times the first unit vector."""
     sq = _row_sq_norms(factor)
     if sq.min() <= 0.0:
         dead = sq <= 0.0
         factor = factor.copy()
         factor[dead, 0] = 1.0
         sq[dead] = 1.0
-    return factor * (alpha / np.sqrt(sq))[:, None]
+    return factor * (alpha / np.sqrt(sq))[..., None]
 
 
-def _softmin(levels: np.ndarray, mu: float) -> float:
-    low = levels.min()
-    return float(low - mu * math.log(np.exp((low - levels) / mu).sum()))
+def _softmins(levels: np.ndarray, mu: float) -> tuple[list[float], list[float]]:
+    """Minimum and smoothed minimum, at temperature mu, of every row of a (c, K) stack of levels."""
+    lows = levels.min(axis=1)
+    sums = np.exp((lows[:, None] - levels) / mu).sum(axis=1).tolist()
+    lows = lows.tolist()
+    return lows, [low - mu * math.log(total) for low, total in zip(lows, sums)]
 
 
 class _Ascent(NamedTuple):
@@ -181,43 +204,51 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: flo
     """
     alpha2 = alpha ** 2
     coef = model.coef(lam)
-    t, signal, denom = model.stats(factor)
-    levels = signal - lam * denom
-    level_start = float(levels.min())
-    best_ratio, best_factor = float((signal / denom).min()), factor
+    t, signal, denom = model.stats(factor[None])
+    t, levels = t[0], signal[0] - lam * denom[0]
+    low = level_start = float(levels.min())
+    best_ratio, best_factor = float((signal[0] / denom[0]).min()), factor
     anchor, flat = best_ratio, 0
     step = STEP_INIT
     improved = False
     steps = backtracks = 0
     early_stop = False
     for _ in range(INNER_ITERS):
-        low = levels.min()
-        mu = max(0.1 * (levels.max() - low), 1e-9)
+        mu = max(0.1 * (float(levels.max()) - low), 1e-9)
         weights = np.exp((low - levels) / mu)
-        total = weights.sum()
-        current = float(low - mu * math.log(total))
+        total = float(weights.sum())
+        current = low - mu * math.log(total)
         grad = model.gradient(t, weights / total, coef)
         radial = np.einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
         grad -= radial[:, None] * factor
         norm = math.sqrt(_row_sq_norms(grad).sum())
         if norm < 1e-14:
             break
-        accepted = False
-        for _ in range(30):
-            candidate = _normalize_rows(factor + (step / norm) * grad, alpha)
-            t_new, signal_new, denom_new = model.stats(candidate)
+        accepted = None
+        for tried in range(0, STEP_TRIES, STEP_BATCH):
+            scales, length = [], step
+            for _ in range(min(STEP_BATCH, STEP_TRIES - tried)):
+                scales.append(length / norm)
+                length *= 0.5
+            candidates = _normalize_rows(factor + np.array(scales)[:, None, None] * grad, alpha)
+            t_new, signal_new, denom_new = model.stats(candidates)
             levels_new = signal_new - lam * denom_new
-            if _softmin(levels_new, mu) > current + 1e-14:
-                accepted = True
+            lows, values = _softmins(levels_new, mu)
+            for j, value in enumerate(values):
+                if value > current + 1e-14:
+                    accepted = j
+                    break
+                step *= 0.5
+                backtracks += 1
+            if accepted is not None:
                 break
-            step *= 0.5
-            backtracks += 1
-        if not accepted:
+        if accepted is None:
             break
-        factor, t, levels = candidate, t_new, levels_new
+        factor, t, levels, low = (candidates[accepted], t_new[accepted], levels_new[accepted],
+                                  lows[accepted])
         steps += 1
         step = min(step * STEP_GROW, STEP_MAX)
-        ratio = float((signal_new / denom_new).min())
+        ratio = float((signal_new[accepted] / denom_new[accepted]).min())
         if ratio > best_ratio:
             best_ratio, best_factor = ratio, factor
             improved = True
@@ -228,7 +259,7 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: flo
             if flat >= STOP_WINDOW:
                 early_stop = True
                 break
-    improved = improved or levels.min() > level_start + 1e-12 * max(abs(level_start), 1.0)
+    improved = improved or low > level_start + 1e-12 * max(abs(level_start), 1.0)
     return _Ascent(best_factor, best_ratio, improved, steps, backtracks, early_stop)
 
 

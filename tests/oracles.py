@@ -1,10 +1,13 @@
 """Test-side references: finite differences, lifted forms, the post-combining
-report, the serial quant swap loop and the per-element channel dump.
+report, the serial quant swap loop, the serial SDR line search and the
+per-element channel dump.
 
 None of these is part of the library. Each is built from the library's
 primitives in the most direct way, so a test can hold the optimized
 routes against them.
 """
+
+import math
 
 import numpy as np
 
@@ -14,6 +17,8 @@ from ris_maxmin.core import TWO_PI, PhaseVector, SinrReport, _power_array, effec
 from ris_maxmin.errors import ConfigurationError
 from ris_maxmin.phase import (QUANT_EPSILON, QUANT_MAX_EVALS, QUANT_WINDOW,
                               QuantOptions, QuantResult, phase_grid)
+from ris_maxmin.sdr import (INNER_ITERS, STEP_GROW, STEP_INIT, STEP_MAX, STEP_TRIES,
+                            STOP_REL, STOP_WINDOW, _Ascent)
 
 
 def post_bf_sinr(chan, phase, powers, sigma2) -> SinrReport:
@@ -94,6 +99,89 @@ def serial_quantized_heuristic_phase(objective, init, rng, options=None) -> Quan
 
     return QuantResult(phase=PhaseVector(theta=grid[idx], alpha=init.alpha), min_sinr=current,
                        evaluations=evaluations, tau_trace=np.asarray(trace), warning=warning)
+
+
+def _row_sq_norms_2d(a):
+    real = a.view(float)
+    return np.einsum("ij,ij->i", real, real)
+
+
+def _normalize_rows_2d(factor, alpha):
+    sq = _row_sq_norms_2d(factor)
+    if sq.min() <= 0.0:
+        dead = sq <= 0.0
+        factor = factor.copy()
+        factor[dead, 0] = 1.0
+        sq[dead] = 1.0
+    return factor * (alpha / np.sqrt(sq))[:, None]
+
+
+def _softmin(levels, mu):
+    low = levels.min()
+    return float(low - mu * math.log(np.exp((low - levels) / mu).sum()))
+
+
+def _stats_2d(model, factor):
+    t = model.pair_conj @ factor
+    parts = _row_sq_norms_2d(t) @ model.split
+    return t, parts[:model.k], parts[model.k:] + model.noise
+
+
+def serial_inner_ascent(model, factor, alpha, lam) -> _Ascent:
+    """sdr._inner_ascent scoring one step length at a time, each on its own
+    (n, r) factor: the line search tries step, step/2, ... and accepts the
+    first whose smoothed minimum rises, STEP_TRIES tries at most."""
+    alpha2 = alpha ** 2
+    coef = model.coef(lam)
+    t, signal, denom = _stats_2d(model, factor)
+    levels = signal - lam * denom
+    level_start = float(levels.min())
+    best_ratio, best_factor = float((signal / denom).min()), factor
+    anchor, flat = best_ratio, 0
+    step = STEP_INIT
+    improved = False
+    steps = backtracks = 0
+    early_stop = False
+    for _ in range(INNER_ITERS):
+        low = levels.min()
+        mu = max(0.1 * (levels.max() - low), 1e-9)
+        weights = np.exp((low - levels) / mu)
+        total = weights.sum()
+        current = float(low - mu * math.log(total))
+        grad = model.gradient(t, weights / total, coef)
+        radial = np.einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
+        grad -= radial[:, None] * factor
+        norm = math.sqrt(_row_sq_norms_2d(grad).sum())
+        if norm < 1e-14:
+            break
+        accepted = False
+        for _ in range(STEP_TRIES):
+            candidate = _normalize_rows_2d(factor + (step / norm) * grad, alpha)
+            t_new, signal_new, denom_new = _stats_2d(model, candidate)
+            levels_new = signal_new - lam * denom_new
+            if _softmin(levels_new, mu) > current + 1e-14:
+                accepted = True
+                break
+            step *= 0.5
+            backtracks += 1
+        if not accepted:
+            break
+        factor, t, levels = candidate, t_new, levels_new
+        steps += 1
+        step = min(step * STEP_GROW, STEP_MAX)
+        ratio = float((signal_new / denom_new).min())
+        if ratio > best_ratio:
+            best_ratio, best_factor = ratio, factor
+            improved = True
+        if best_ratio > anchor * (1.0 + STOP_REL):
+            anchor, flat = best_ratio, 0
+        else:
+            flat += 1
+            if flat >= STOP_WINDOW:
+                early_stop = True
+                break
+    improved = improved or levels.min() > level_start + 1e-12 * max(abs(level_start), 1.0)
+    return _Ascent(best_factor, best_ratio, improved, steps, backtracks, early_stop)
 
 
 def dump_channel_text_per_element(chan) -> str:

@@ -12,7 +12,8 @@ from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         sinr_per_user)
 from ris_maxmin import alternating
 from ris_maxmin.alternating import METHODS
-from ris_maxmin.core import ChannelRealization
+from ris_maxmin.core import ChannelRealization, GainTable
+from ris_maxmin.errors import NumericError
 
 SMALL = SystemConfig(m=4, n=6, k=3)
 
@@ -132,3 +133,11 @@ print(before, "scipy.optimize" in sys.modules)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_nan_minimum_raises_numeric_error(monkeypatch, method):
+    """A nan score fails every guard; it must not leave the loop without combiners."""
+    monkeypatch.setattr(GainTable, "sinr", lambda self, p: np.full(self.k, np.nan))
+    with pytest.raises(NumericError, match="nan minimum SINR"):
+        alternating_optimize(SMALL, small_channel(3), method, np.random.default_rng(3), max_sweeps=2)

@@ -6,6 +6,7 @@ import pytest
 
 from ris_maxmin import harness
 from ris_maxmin.channel import load_channel_text
+from ris_maxmin.core import GainTable
 from ris_maxmin.harness import CSV_COLUMNS
 from ris_maxmin.cli import main
 
@@ -61,6 +62,8 @@ REJECTIONS = {
     "r_min_m: -5": "r_min must lie in [0, r_max = 70.0), got -5",
     "methods: lse, lse": "methods must not repeat an entry, got ('lse', 'lse')",
     "b_grid: 3, 3": "b_grid must not repeat an entry, got (3, 3)",
+    "gain_bs_dbi: nan": "gain_bs_dbi must be finite", "gain_bs_dbi: 1e308": "gain_bs_dbi must be finite",
+    "sar_ref: inf": "sar_ref entries must be finite", "r_max_m: inf": "r_max must be finite",
 }
 
 
@@ -162,3 +165,10 @@ def test_run_keeps_the_rows_of_finished_trials(tmp_path, monkeypatch, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_COLUMNS)
     assert [row[4] for row in rows[1:]] == ["random-baseline"] * 4
+
+
+def test_run_nan_minimum_exits_2(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(GainTable, "sinr", lambda self, p: np.full(self.k, np.nan))
+    out = tmp_path / "results.csv"
+    assert main(["run", str(config_path), "--out", str(out), "--quiet"]) == 2
+    assert "nan minimum SINR" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 import ris_maxmin
-from ris_maxmin import (ConfigurationError, ExperimentPlan, alternating,
+from ris_maxmin import (ConfigurationError, ExperimentPlan, alternating, harness,
                         run_experiment)
+from ris_maxmin.channel import dump_channel_text
 from ris_maxmin.harness import (CONFIG_KEYS, CSV_COLUMNS, derive_trial_seed,
                                 dump_config, load_config, parse_config_text,
                                 records_to_csv_text)
@@ -242,3 +244,14 @@ def test_batched_quant_swaps_leave_the_csv_unchanged(monkeypatch):
     serial = run_experiment(config, plan, out_path=None, workers=1)
     assert len(batched) == 2 * 3 * 4
     assert strip_times(batched) == strip_times(serial)
+
+
+@pytest.mark.parametrize("n, rho", [(6, 0.0), (9, 0.45)])
+def test_channel_hash_is_the_hash_of_the_dump(n, rho):
+    """The hash reuses one formatted RIS_CORR_SQRT block per scenario; it must
+    still be the hash of the whole dump that dump-channel writes."""
+    config, plan = parse_config_text(f"m: 4\nn: {n}\nk: 3\nris_corr_rho: {rho}\ntrials: 4\nseed: 3\n")
+    for trial in range(plan.trials):
+        chan = harness.trial_channel(config, plan, 0, trial)[2]
+        text = dump_channel_text(chan)
+        assert harness._channel_hash(chan) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

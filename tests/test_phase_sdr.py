@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from ris_maxmin import (ConfigurationError, build_quadratic_forms,
-                        sdr_dinkelbach_phase)
-from ris_maxmin.sdr import INNER_ITERS, LiftedMatrix, _LevelModel
+import oracles
+from ris_maxmin import (ConfigurationError, SystemConfig, build_quadratic_forms,
+                        sample_channel, sdr_dinkelbach_phase)
+from ris_maxmin import sdr
+from ris_maxmin.phase import QuadraticFormSet
+from ris_maxmin.sdr import INNER_ITERS, STEP_TRIES, LiftedMatrix, _LevelModel
 
-from conftest import random_beamformer, random_phase, synth_channel
+from conftest import complex_normal, random_beamformer, random_phase, synth_channel
+from oracles import serial_inner_ascent
 
 
 def build_forms(rng, m, n, k, sigma2=1.0):
@@ -97,16 +101,104 @@ def test_one_level_model_matches_the_coef_matrix_at_every_lam(rng):
     for m, n, k in ((3, 4, 3), (12, 24, 6), (4, 6, 2)):
         forms = build_forms(rng, m, n, k, sigma2=rng.uniform(0.1, 2.0))
         model = _LevelModel(forms)
-        for _ in range(3):
-            factor = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        factors = rng.standard_normal((3, n, 5)) + 1j * rng.standard_normal((3, n, 5))
+        stacked = model.stats(factors)
+        for c, factor in enumerate(factors):
             weights = rng.dirichlet(np.ones(k))
-            t, signal, denom = model.stats(factor)
+            t, signal, denom = (part[c] for part in stacked)
             for lam in (0.0, 0.3, 1.0, 10.0):
                 levels, ratios, gradient, scale = coef_matrix_levels(forms, lam, factor, weights)
                 assert np.all(np.abs(signal - lam * denom - levels) <= 1e-12 * scale)
                 assert np.all(np.abs(signal / denom - ratios) <= 1e-12 * ratios)
                 ours = model.gradient(t, weights, model.coef(lam))
                 assert np.abs(ours - gradient).max() <= 1e-12 * np.abs(gradient).max()
+
+
+def assert_same_ascent(ours, ref):
+    assert np.array_equal(ours.factor, ref.factor)
+    assert ours.ratio == ref.ratio
+    assert (ours.improved, ours.steps, ours.backtracks, ours.early_stop) == (
+        ref.improved, ref.steps, ref.backtracks, ref.early_stop)
+
+
+def ascent_instance(rng, m, n, k, rank, scale=1.0):
+    """Forms scaled by ``scale`` (gains by its square), a unit-row start
+    factor, alpha and lam, as sdr_dinkelbach_phase would pass them."""
+    forms = build_forms(rng, m, n, k, sigma2=rng.uniform(0.1, 2.0))
+    forms = QuadraticFormSet(pair_vectors=forms.pair_vectors * scale, noise=forms.noise * scale ** 2,
+                             powers=forms.powers)
+    alpha = rng.uniform(0.3, 1.0)
+    factor = sdr._normalize_rows(complex_normal(rng, (n, rank)), alpha)
+    return forms, factor, alpha
+
+
+def test_stacked_line_search_matches_the_serial_one_bit_for_bit():
+    """Scoring STEP_BATCH step lengths per pass accepts the step that trying
+    them one at a time accepts, with the same iterates, ratio and counters."""
+    local = np.random.default_rng(1414)
+    for trial in range(240):
+        k, n = int(local.integers(1, 7)), int(local.integers(1, 30))
+        forms, factor, alpha = ascent_instance(local, int(local.integers(1, 5)), n, k,
+                                               min(n, max(4, k + 2)))
+        model = _LevelModel(forms)
+        start = forms.min_sinr(alpha * factor[:, 0] / np.abs(factor[:, 0]))
+        lam = (0.0, 0.5 * start, start, 3.0 * start)[trial % 4]
+        assert_same_ascent(sdr._inner_ascent(model, factor, alpha, lam),
+                           serial_inner_ascent(model, factor, alpha, lam))
+
+
+def test_stacked_line_search_takes_the_dead_row_fallback_like_the_serial_one():
+    """An element no pair vector reaches has a zero gradient row, so a zero
+    start row stays zero in every candidate until the fallback fills it."""
+    local = np.random.default_rng(1415)
+    forms, factor, alpha = ascent_instance(local, 3, 6, 3, 5)
+    pair = forms.pair_vectors.copy()
+    pair[:, :, 2] = 0.0
+    forms = QuadraticFormSet(pair_vectors=pair, noise=forms.noise, powers=forms.powers)
+    factor[2] = 0.0
+    model = _LevelModel(forms)
+    ref = serial_inner_ascent(model, factor, alpha, 0.0)
+    assert ref.steps > 0 and np.array_equal(ref.factor[2], alpha * np.eye(5)[0])
+    assert_same_ascent(sdr._inner_ascent(model, factor, alpha, 0.0), ref)
+
+
+def test_stacked_line_search_exhausts_its_tries_like_the_serial_one(monkeypatch):
+    """Gains near 1e-12 leave every level gain under the 1e-14 acceptance
+    margin, so the serial search ends on STEP_TRIES rejected lengths."""
+    local = np.random.default_rng(1)
+    forms, factor, alpha = ascent_instance(local, 3, 5, 2, 4, scale=1e-6)
+    model = _LevelModel(forms)
+    events = []
+    serial_stats, gradient = oracles._stats_2d, model.gradient
+    monkeypatch.setattr(oracles, "_stats_2d", lambda *a: events.append("try") or serial_stats(*a))
+    monkeypatch.setattr(model, "gradient", lambda *a: events.append("search") or gradient(*a))
+    ref = serial_inner_ascent(model, factor, alpha, 0.5)
+    monkeypatch.undo()
+    last_search = events[len(events) - events[::-1].index("search"):]
+    assert len(last_search) == STEP_TRIES and 0 < ref.steps < INNER_ITERS and not ref.early_stop
+    assert_same_ascent(sdr._inner_ascent(model, factor, alpha, 0.5), ref)
+
+
+def test_sdr_phase_matches_the_serial_line_search_field_by_field(monkeypatch):
+    cfg = SystemConfig(m=12, n=24, k=6)
+    for seed in range(2):
+        local = np.random.default_rng((1416, seed))
+        chan = sample_channel(cfg, local)
+        forms = build_quadratic_forms(chan, random_beamformer(local, 6, 12),
+                                      np.full(6, 0.05), cfg.sigma2)
+        init = random_phase(local, 24)
+        runs = []
+        for ascent in (sdr._inner_ascent, serial_inner_ascent):
+            monkeypatch.setattr(sdr, "_inner_ascent", ascent)
+            rng = np.random.default_rng((1417, seed))
+            runs.append((sdr_dinkelbach_phase(forms, 1.0, init, rng), rng.random()))
+        (ours, ours_next), (ref, ref_next) = runs
+        assert np.array_equal(ours.phase.theta, ref.phase.theta)
+        assert np.array_equal(ours.lifted.v, ref.lifted.v)
+        for name in ("min_sinr", "feasible_value", "iterations", "inner_steps", "backtracks",
+                     "cold_restarts", "early_stops", "warning"):
+            assert getattr(ours, name) == getattr(ref, name), name
+        assert ours_next == ref_next
 
 
 def test_inner_ascents_stop_on_evidence():
