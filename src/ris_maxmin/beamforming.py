@@ -21,9 +21,15 @@ are Hermitian positive definite and go through _cholesky_solve: LAPACK's
 zpotrf and zpotrs, called with the arguments scipy.linalg's Cholesky
 wrappers would pass (at these sizes their argument handling costs more
 than the algebra).
-"""
 
-from typing import NamedTuple
+Where each check runs: post_bf_sinr_values checks on every call that the
+effective channels are finite (NumericError), and the factorization's info
+code reports a matrix that is not positive definite (NumericError), such
+as one made by a negative power. It trusts the powers and sigma2 otherwise:
+optimal_beamformers and phase.sinr_phase_tangent check sigma2 before
+calling it, and power.mmse_max_min_power checks sigma2, the caps and its
+start powers once at entry, before the first factorization.
+"""
 
 import numpy as np
 from scipy.linalg import lapack
@@ -62,16 +68,27 @@ def interference_cholesky(g: np.ndarray, p: np.ndarray, sigma2: float, users) ->
     return solved
 
 
-class _MmseState(NamedTuple):
+class _MmseState:
     """Per-user MMSE quantities at one operating point (g, p, sigma2).
 
-    ``directions``: (m, k), column k is T_k g_k. ``sinr``: (k,) SINRs under
-    those combiners. ``couplings``: (k, k), entry [j, i] is g_j^H T_j g_i.
+    ``sinr``: (k,) SINRs under the MMSE combiners. ``couplings``: (k, k),
+    entry [j, i] is g_j^H T_j g_i. ``directions``: (m, k), column k is
+    T_k g_k; the power step reads only the SINRs and couplings of the points
+    it factors, so the directions are divided out of the solve X = A^{-1} G
+    on first read.
     """
 
-    directions: np.ndarray
-    sinr: np.ndarray
-    couplings: np.ndarray
+    __slots__ = ("sinr", "couplings", "_solve", "_slack", "_directions")
+
+    def __init__(self, sinr, couplings, solve, slack):
+        self.sinr, self.couplings = sinr, couplings
+        self._solve, self._slack, self._directions = solve, slack, None
+
+    @property
+    def directions(self) -> np.ndarray:
+        if self._directions is None:
+            self._directions = self._solve / self._slack
+        return self._directions
 
 
 def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseState:
@@ -81,29 +98,35 @@ def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseSta
     kernel: the combiners, the power step and the phase gradient all read
     the returned _MmseState, so a caller that needs the couplings at the
     SINRs' own operating point, as max_min_sinr_tangent does after
-    mmse_max_min_power, does not factor it again.
+    mmse_max_min_power, does not factor it again. It forms G^H once and
+    leaves the directions to the state's first read.
     """
-    m, k = g.shape
-    if not np.all(np.isfinite(g)):
+    m = g.shape[0]
+    if not np.isfinite(g).all():
         raise NumericError("effective channel contains non-finite entries")
-    a = (g * p) @ g.conj().T
-    a.flat[::m + 1] += sigma2
+    g_h = g.conj().T
+    a = (g * p) @ g_h
+    a.reshape(-1)[::m + 1] += sigma2
     x = _cholesky_solve(a, g, "interference-plus-noise matrix")
-    gram = g.conj().T @ x
+    gram = g_h @ x
     q = gram.diagonal().real
-    slack = 1.0 - p * q
+    signal = p * q
+    slack = 1.0 - signal
     low = slack < SLACK_FALLBACK
-    slack[low] = 1.0                     # their rows are replaced below
-    directions = x / slack
+    fallback = low.any()
+    if fallback:
+        slack[low] = 1.0                 # their rows are replaced below
     couplings = gram / slack[:, None]
-    sinr = p * q / slack
-    if low.any():
+    sinr = signal / slack
+    state = _MmseState(sinr, couplings, x, slack)
+    if fallback:
+        directions = state.directions
         users = np.flatnonzero(low)
         for j, solved in zip(users, interference_cholesky(g, p, sigma2, users)):
             directions[:, j] = solved[:, j]
             couplings[j] = g[:, j].conj() @ solved
             sinr[j] = p[j] * couplings[j, j].real
-    return _MmseState(directions, sinr, couplings)
+    return state
 
 
 def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,

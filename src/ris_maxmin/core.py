@@ -128,8 +128,11 @@ class ChannelRealization:
     ``h1``: (m, n) BS-RIS matrix. ``ris_corr_sqrt``: (n, n) square root of
     the RIS spatial correlation matrix. ``h2``: (k, n), row ``i`` is the
     RIS-to-user-``i`` channel with its amplitude path loss absorbed.
-    ``user_positions``: (k, 2) planar coordinates in metres. ``cascade``
-    is the (m, n) product h1 @ ris_corr_sqrt, formed once here.
+    ``user_positions``: (k, 2) planar coordinates in metres. Formed once
+    here: ``cascade``, the (m, n) product C = h1 @ ris_corr_sqrt;
+    ``cascade_h``, its (n, m) conjugate transpose C^H; and ``h2_conj``, the
+    (k, n) conjugate of h2. The phase derivative and the quadratic forms
+    read the last two, so no call conjugates them again.
     """
 
     h1: np.ndarray
@@ -137,6 +140,8 @@ class ChannelRealization:
     h2: np.ndarray
     user_positions: np.ndarray
     cascade: np.ndarray = field(init=False, repr=False)
+    cascade_h: np.ndarray = field(init=False, repr=False)
+    h2_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h1", np.asarray(self.h1, dtype=complex))
@@ -156,6 +161,8 @@ class ChannelRealization:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} contains non-finite entries")
         object.__setattr__(self, "cascade", self.h1 @ self.ris_corr_sqrt)
+        object.__setattr__(self, "cascade_h", self.cascade.conj().T)
+        object.__setattr__(self, "h2_conj", self.h2.conj())
 
     @property
     def m(self) -> int:
@@ -220,13 +227,21 @@ class PowerAllocation:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < 0):
+        if p.ndim != 1 or not np.isfinite(p).all() or (p < 0).any():
             raise ConfigurationError("powers must be a 1-d array of finite nonnegative watts")
         object.__setattr__(self, "p", p)
 
     @property
     def k(self) -> int:
         return self.p.shape[0]
+
+
+def _unchecked_powers(p: np.ndarray) -> PowerAllocation:
+    """A PowerAllocation of the (k,) float array ``p``, which the caller
+    guarantees finite and nonnegative, built without the check."""
+    power = object.__new__(PowerAllocation)
+    object.__setattr__(power, "p", p)
+    return power
 
 
 @dataclass(frozen=True, eq=False)

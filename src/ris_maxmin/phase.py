@@ -122,8 +122,8 @@ def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     rows = _bf_matrix(bf)
     p = _power_array(powers)
-    projected = chan.cascade.conj().T @ rows.T          # column k: (h1 R^(1/2))^H b_k
-    pair = chan.h2.conj()[None, :, :] * projected.T[:, None, :]
+    projected = chan.cascade_h @ rows.T                 # column k: (h1 R^(1/2))^H b_k
+    pair = chan.h2_conj[None, :, :] * projected.T[:, None, :]
     return QuadraticFormSet(
         pair_vectors=pair,
         noise=sigma2 * np.sum(np.abs(rows) ** 2, axis=1),
@@ -151,14 +151,14 @@ def _derivative_terms(chan: ChannelRealization, p: np.ndarray, phase: PhaseVecto
     with respect to conj(phi_n), from the _MmseState ``state`` factored at
     the powers ``p`` and the effective channels of ``phase``."""
     weights = -p * state.couplings
-    np.fill_diagonal(weights, 1.0)
-    combo = weights @ chan.h2.conj()                           # (k, n)
-    projected = (chan.cascade.conj().T @ state.directions).T   # C^H T_j g_j
+    weights.reshape(-1)[::p.size + 1] = 1.0
+    combo = weights @ chan.h2_conj                        # (k, n)
+    projected = (chan.cascade_h @ state.directions).T     # C^H T_j g_j
     return (phase.alpha * p)[:, None] * combo * projected
 
 
 def _tangent(phase: PhaseVector, deriv: np.ndarray) -> np.ndarray:
-    return 2.0 * np.real(1j * phase.phi[None, :] * deriv.conj())
+    return 2.0 * (1j * phase.phi[None, :] * deriv.conj()).real
 
 
 def sinr_phase_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
@@ -206,10 +206,9 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
     d p_i / d theta. Returns (gradient, the power-control result, the (k, n)
     power slope with row b zero, since p_b stays at its cap); ``start``
     warm-starts the power step. Gradient and slope are zero when the power
-    step is degenerate.
+    step is degenerate. mmse_max_min_power checks sigma2, the caps and
+    ``start``.
     """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     g = effective_channel(chan, phase)
     result = mmse_max_min_power(g, cap, sigma2, start)
@@ -232,9 +231,9 @@ def _predicted_start(p: np.ndarray, slope: np.ndarray, step: np.ndarray) -> np.n
     """First-order max-min powers a phase ``step`` away from the powers ``p``
     whose slope over the angles is ``slope`` (max_min_sinr_tangent); the step
     is wrapped into [-pi, pi). Falls back to ``p`` when a predicted power is
-    not positive."""
+    not positive and finite, which mmse_max_min_power requires of a start."""
     predicted = p + slope @ (np.mod(step + np.pi, TWO_PI) - np.pi)
-    return predicted if np.all(predicted > 0.0) else p
+    return predicted if 0.0 < predicted.min() and predicted.max() < np.inf else p
 
 
 LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step has converged

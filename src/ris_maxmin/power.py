@@ -33,6 +33,14 @@ normalized fixed point
 which converges from any positive start, so the worst case is that
 iteration. The steps stop once the SINRs are balanced, judged by their
 spread, not by how far a step moves the powers.
+
+Where each check runs: both solvers check their caps at entry (one (k,)
+array of positive, finite watts) and raise ConfigurationError before any
+eigenvalue or factorization; max_min_power also rejects a non-finite gain
+table (NumericError). mmse_max_min_power checks sigma2 and its start powers
+(shape, finite, positive) at entry as well, so the Newton loop runs on
+inputs checked once per call; each factorization's kernel call,
+beamforming.post_bf_sinr_values, checks that the channels are finite.
 """
 
 from typing import NamedTuple
@@ -41,7 +49,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
-from .core import GainTable, PowerAllocation, gain_table  # noqa: F401 (gain_table: re-exported)
+from .core import GainTable, PowerAllocation, _unchecked_powers
+from .core import gain_table  # noqa: F401 (re-exported)
 from .errors import ConfigurationError, DomainError, NumericError
 
 FIXED_POINT_MAX_ITER = 500  # factored operating points per mmse_max_min_power call, at most
@@ -63,6 +72,17 @@ class PowerControlResult(NamedTuple):
     mmse_state: object = None
 
 
+def _checked_powers(values, k: int, name: str) -> np.ndarray:
+    """``values`` as a (k,) float array of watts; ConfigurationError unless
+    each is positive and finite."""
+    p = np.atleast_1d(np.asarray(values, dtype=float))
+    if p.shape != (k,):
+        raise ConfigurationError(f"{name} shape {p.shape} does not match k={k}")
+    if not (0.0 < p.min() and p.max() < np.inf):
+        raise ConfigurationError(f"{name} must be positive and finite, got {p.tolist()}")
+    return p
+
+
 def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     """Globally optimal max-min SINR power allocation under per-user caps.
 
@@ -74,16 +94,12 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     the caps are returned with tau = 0 so an enclosing alternating loop can
     continue.
     """
-    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
-    if cap.shape != gains.n.shape:
-        raise ConfigurationError(f"cap shape {cap.shape} does not match k={gains.k}")
-    if np.any(cap <= 0):
-        raise ConfigurationError("power caps must be positive")
-    if not (np.all(np.isfinite(gains.f)) and np.all(np.isfinite(gains.n))):
+    cap = _checked_powers(p_cap, gains.k, "power caps")
+    if not (np.isfinite(gains.f).all() and np.isfinite(gains.n).all()):
         raise NumericError("gain table contains non-finite entries")
 
     diag = np.diagonal(gains.f)
-    if np.any(diag <= 0.0):
+    if (diag <= 0.0).any():
         return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
 
     eye = np.eye(gains.k)
@@ -92,7 +108,7 @@ def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
     # candidates[j] = M + b e_j^T / cap_j; all are nonnegative, so the largest
     # eigenvalue modulus is the Perron root
     candidates = coupling + noise[:, None] * (eye / cap[:, None])[:, None, :]
-    tau = 1.0 / np.max(np.abs(np.linalg.eigvals(candidates)))
+    tau = 1.0 / np.abs(np.linalg.eigvals(candidates)).max()
     # tau * rho(M) < 1, so I - tau*M is a nonsingular M-matrix; the min only
     # trims the binding user's rounding above its cap
     p = np.minimum(cap, np.linalg.solve(eye - tau * coupling, tau * noise))
@@ -107,9 +123,9 @@ def _balance_system(couplings: np.ndarray, p: np.ndarray, cap: np.ndarray, rhs: 
     where c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i (_MmseState.couplings).
     The binding user b = argmax p / cap is held at its cap, so column b
     carries tau's -1 column, and row b of X is tau's entry."""
-    binding = int(np.argmax(p / cap))
+    binding = int((p / cap).argmax())
     system = -p[:, None] * np.abs(couplings) ** 2
-    system.flat[::p.size + 1] = couplings.diagonal().real
+    system.reshape(-1)[::p.size + 1] = couplings.diagonal().real
     system[:, binding] = -1.0
     *_, solution, info = lapack.dgesv(system, rhs)
     return None if info != 0 else (binding, solution)
@@ -126,9 +142,9 @@ def _newton_powers(state, p: np.ndarray, cap: np.ndarray):
     binding, step = solved
     step[binding] = 0.0
     p_new = p + step
-    if not np.all(p_new > 0.0):
+    if not p_new.min() > 0.0:
         return None
-    return np.minimum(cap, p_new / np.max(p_new / cap))
+    return np.minimum(cap, p_new / (p_new / cap).max())
 
 
 def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> PowerControlResult:
@@ -150,25 +166,26 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
     within the caps with the binding user at its cap, and tau is the
     minimum SINR they achieve under the MMSE combiners. A user with a zero
     effective channel makes the problem degenerate: the caps are returned
-    with tau = 0.
+    with tau = 0. A sigma2, cap or start power that is not positive and
+    finite, or a cap or start of the wrong shape, raises ConfigurationError
+    before the first factorization; a non-finite channel raises
+    NumericError from the kernel.
     """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
-    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
-    if cap.shape != (g.shape[1],):
-        raise ConfigurationError(f"cap shape {cap.shape} does not match k={g.shape[1]}")
-    if np.any(cap <= 0):
-        raise ConfigurationError("power caps must be positive")
-    if np.any(np.sum(np.abs(g) ** 2, axis=0) == 0.0):
+    k = g.shape[1]
+    if not 0.0 < sigma2 < np.inf:
+        raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
+    cap = _checked_powers(p_cap, k, "power caps")
+    p = cap if start is None else _checked_powers(start, k, "start powers")
+    if ((np.abs(g) ** 2).sum(axis=0) == 0.0).any():
         return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
 
-    p = cap.copy() if start is None else np.asarray(start, dtype=float)
-    p = np.minimum(cap, p / np.max(p / cap))
+    p = np.minimum(cap, p / (p / cap).max())
     previous = best_spread = np.inf
     best_state, stalled = None, 0
     for _ in range(FIXED_POINT_MAX_ITER):
         current = post_bf_sinr_values(g, p, sigma2)
-        spread = current.sinr.max() / current.sinr.min() - 1.0
+        sinr = current.sinr
+        spread = sinr.max() / sinr.min() - 1.0
         if best_state is None or spread < best_spread:
             best_spread, best_p, best_state, stalled = spread, p, current, 0
         else:
@@ -178,12 +195,13 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
             break
         p_new = _newton_powers(current, p, cap) if spread < previous else None
         if p_new is None:
-            interference = p / current.sinr
-            p_new = np.minimum(cap, interference / np.max(interference / cap))
+            interference = p / sinr
+            p_new = np.minimum(cap, interference / (interference / cap).max())
         previous, p = spread, p_new
-    # tau is what the returned powers achieve, so it never overstates the optimum
-    return PowerControlResult(PowerAllocation(best_p), float(best_state.sinr.min()), False,
-                              best_state)
+    # tau is what the returned powers achieve, so it never overstates the
+    # optimum; best_p lies in (0, cap], so its PowerAllocation check is skipped
+    return PowerControlResult(_unchecked_powers(best_p), float(best_state.sinr.min()),
+                              False, best_state)
 
 
 def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Test-side references: finite differences, lifted forms, the post-combining
-report, the serial quant swap loop, the serial SDR line search and the
-per-element channel dump.
+report, the serial quant swap loop, the serial SDR line search, the
+per-element channel dump and the reference tau chain of the lse step.
 
 None of these is part of the library. Each is built from the library's
 primitives in the most direct way, so a test can hold the optimized
@@ -8,15 +8,22 @@ routes against them.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+import scipy.optimize
+from scipy.linalg import lapack
 
-from ris_maxmin.beamforming import post_bf_sinr_values
+from ris_maxmin.beamforming import (SLACK_FALLBACK, _cholesky_solve, interference_cholesky,
+                                    post_bf_sinr_values)
 from ris_maxmin.channel import CHANNEL_DUMP_HEADER
-from ris_maxmin.core import TWO_PI, PhaseVector, SinrReport, _power_array, effective_channel
-from ris_maxmin.errors import ConfigurationError
-from ris_maxmin.phase import (QUANT_EPSILON, QUANT_MAX_EVALS, QUANT_WINDOW,
-                              QuantOptions, QuantResult, phase_grid)
+from ris_maxmin.core import (TWO_PI, PhaseVector, PowerAllocation, SinrReport, _power_array,
+                             effective_channel)
+from ris_maxmin.errors import ConfigurationError, NumericError
+from ris_maxmin.phase import (LSE_GRAD_TOL, LSE_MAX_ITERS, QUANT_EPSILON, QUANT_MAX_EVALS,
+                              QUANT_WINDOW, LseResult, QuantOptions, QuantResult, phase_grid)
+from ris_maxmin.power import (BALANCED_SPREAD, FIXED_POINT_MAX_ITER, STALL_SPREAD, STALL_STEPS,
+                              PowerControlResult)
 from ris_maxmin.sdr import (INNER_ITERS, STEP_GROW, STEP_INIT, STEP_MAX, STEP_TRIES,
                             STOP_REL, STOP_WINDOW, _Ascent)
 
@@ -196,3 +203,141 @@ def dump_channel_text_per_element(chan) -> str:
         lines.append(f"{x:.17g} {y:.17g}")
     lines.append("END")
     return "\n".join(lines) + "\n"
+
+
+# The tau chain of lse_max_min_phase, written out step by step the way the
+# library first computed it: the MMSE kernel, the Newton power step with its
+# fixed-point fallback, the tangent solve, the predicted start and the
+# L-BFGS-B loop. Every optimization of the library's chain must give these
+# bits.
+
+
+class ReferenceMmseState(NamedTuple):
+    directions: np.ndarray
+    sinr: np.ndarray
+    couplings: np.ndarray
+
+
+def reference_mmse_state(g, p, sigma2) -> ReferenceMmseState:
+    """Every user's MMSE direction, SINR and couplings from one factorization."""
+    m, k = g.shape
+    if not np.all(np.isfinite(g)):
+        raise NumericError("effective channel contains non-finite entries")
+    a = (g * p) @ g.conj().T
+    a.flat[::m + 1] += sigma2
+    x = _cholesky_solve(a, g, "interference-plus-noise matrix")
+    gram = g.conj().T @ x
+    q = gram.diagonal().real
+    slack = 1.0 - p * q
+    low = slack < SLACK_FALLBACK
+    slack[low] = 1.0
+    directions = x / slack
+    couplings = gram / slack[:, None]
+    sinr = p * q / slack
+    if low.any():
+        users = np.flatnonzero(low)
+        for j, solved in zip(users, interference_cholesky(g, p, sigma2, users)):
+            directions[:, j] = solved[:, j]
+            couplings[j] = g[:, j].conj() @ solved
+            sinr[j] = p[j] * couplings[j, j].real
+    return ReferenceMmseState(directions, sinr, couplings)
+
+
+def _reference_balance(couplings, p, cap, rhs):
+    binding = int(np.argmax(p / cap))
+    system = -p[:, None] * np.abs(couplings) ** 2
+    system.flat[::p.size + 1] = couplings.diagonal().real
+    system[:, binding] = -1.0
+    *_, solution, info = lapack.dgesv(system, rhs)
+    return None if info != 0 else (binding, solution)
+
+
+def _reference_newton(state, p, cap):
+    solved = _reference_balance(state.couplings, p, cap, state.sinr.min() - state.sinr)
+    if solved is None:
+        return None
+    binding, step = solved
+    step[binding] = 0.0
+    p_new = p + step
+    if not np.all(p_new > 0.0):
+        return None
+    return np.minimum(cap, p_new / np.max(p_new / cap))
+
+
+def reference_mmse_max_min_power(g, p_cap, sigma2, start=None) -> PowerControlResult:
+    """power.mmse_max_min_power on reference_mmse_state, for valid inputs."""
+    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
+    if np.any(np.sum(np.abs(g) ** 2, axis=0) == 0.0):
+        return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
+    p = cap.copy() if start is None else np.asarray(start, dtype=float)
+    p = np.minimum(cap, p / np.max(p / cap))
+    previous = best_spread = np.inf
+    best_state, stalled = None, 0
+    for _ in range(FIXED_POINT_MAX_ITER):
+        current = reference_mmse_state(g, p, sigma2)
+        spread = current.sinr.max() / current.sinr.min() - 1.0
+        if best_state is None or spread < best_spread:
+            best_spread, best_p, best_state, stalled = spread, p, current, 0
+        else:
+            stalled += 1
+        if best_spread <= BALANCED_SPREAD or (best_spread <= STALL_SPREAD
+                                              and stalled >= STALL_STEPS):
+            break
+        p_new = _reference_newton(current, p, cap) if spread < previous else None
+        if p_new is None:
+            interference = p / current.sinr
+            p_new = np.minimum(cap, interference / np.max(interference / cap))
+        previous, p = spread, p_new
+    return PowerControlResult(PowerAllocation(best_p), float(best_state.sinr.min()), False,
+                              best_state)
+
+
+def reference_max_min_sinr_tangent(chan, phase, p_cap, sigma2, start=None):
+    """phase.max_min_sinr_tangent on the reference chain: (gradient, the
+    power-control result, the power slope)."""
+    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
+    result = reference_mmse_max_min_power(effective_channel(chan, phase), cap, sigma2, start)
+    if result.degenerate:
+        return np.zeros(phase.n), result, np.zeros((cap.size, phase.n))
+    p, state = result.power.p, result.mmse_state
+    weights = -p * state.couplings
+    np.fill_diagonal(weights, 1.0)
+    combo = weights @ chan.h2.conj()
+    projected = (chan.cascade.conj().T @ state.directions).T
+    deriv = (phase.alpha * p)[:, None] * combo * projected
+    tangent = 2.0 * np.real(1j * phase.phi[None, :] * deriv.conj())
+    solved = _reference_balance(state.couplings, p, cap, -tangent)
+    if solved is None:
+        raise np.linalg.LinAlgError("balance system of the max-min powers is singular")
+    binding, sensitivity = solved
+    gradient = sensitivity[binding].copy()
+    sensitivity[binding] = 0.0
+    return gradient, result, sensitivity
+
+
+def reference_lse_max_min_phase(chan, init, p_cap, sigma2) -> LseResult:
+    """phase.lse_max_min_phase on the reference chain."""
+    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
+    alpha = init.alpha
+    _, start, slope = reference_max_min_sinr_tangent(chan, init, cap, sigma2)
+    if start.degenerate:
+        return LseResult(init, start.tau, 0, False,
+                         warning="degenerate SINR at the initial phase", power=start.power)
+    best = {"tau": start.tau, "theta": init.theta, "power": start.power, "slope": slope}
+
+    def neg_log_tau(theta):
+        predicted = best["power"].p + best["slope"] @ (
+            np.mod(theta - best["theta"] + np.pi, TWO_PI) - np.pi)
+        guess = predicted if np.all(predicted > 0.0) else best["power"].p
+        grad, result, slope = reference_max_min_sinr_tangent(
+            chan, PhaseVector(theta=theta, alpha=alpha), cap, sigma2, start=guess)
+        if result.tau <= 0.0:
+            return np.inf, np.zeros_like(theta)
+        if result.tau > best["tau"]:
+            best.update(tau=result.tau, theta=theta.copy(), power=result.power, slope=slope)
+        return -np.log(result.tau), -grad / result.tau
+
+    out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["tau"],
+                     int(out.nit), bool(out.success), power=best["power"])

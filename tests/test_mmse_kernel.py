@@ -19,6 +19,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ris_maxmin.alternating as alternating
 import ris_maxmin.beamforming as beamforming
 import ris_maxmin.phase as phase_module
 import ris_maxmin.power as power
@@ -30,6 +31,7 @@ from ris_maxmin.phase import (_derivative_terms, _predicted_start,
                               lse_max_min_phase, max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
 
+import oracles
 from conftest import complex_normal, synth_channel
 
 RTOL = 1e-9
@@ -364,3 +366,110 @@ def test_unconverged_lse_step_is_reported(monkeypatch):
     assert unconverged
     assert unconverged[0].startswith("sweep 1: ")
     assert "after 1 iterations" in unconverged[0]
+
+
+def _tau_chain_cases():
+    """(name, chan, phase, cap, start) for the reference comparisons: k=1,
+    k > m, per-user exposure caps with a warm start, a user above SINR 1e5
+    (the kernel's own-factorization fallback) and a zero effective channel."""
+    rng = np.random.default_rng(20240821)
+    cases = []
+    chan = synth_channel(rng, 3, 5, 1)
+    cases.append(("k=1", chan, PhaseVector.random(5, 0.9, rng), np.array([0.7]), None))
+    chan = synth_channel(rng, 2, 6, 5, identity_corr=False)
+    cases.append(("k>m", chan, PhaseVector.random(6, 1.0, rng), rng.uniform(0.2, 1.0, 5), None))
+    chan = synth_channel(rng, 4, 6, 3)
+    sar = rng.uniform(1e-3, 1e-2, 3)
+    cap = effective_power_cap(1.0, sar, sar * rng.uniform(0.2, 2.0, 3))
+    cases.append(("exposure-caps-warm-start", chan, PhaseVector.random(6, 0.8, rng), cap,
+                  cap * rng.uniform(0.3, 1.0, 3)))
+    chan, phase, cap = strong_user_case(5, 4, 3, 8.0, False)
+    cases.append(("fallback-user", chan, phase, cap, None))
+    chan, phase, cap = strong_user_case(6, 3, 3, 0.0, True)
+    cases.append(("zero-column", chan, phase, cap, None))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5), ids=[c[0] for c in _tau_chain_cases()])
+def test_tau_chain_matches_the_reference_bit_for_bit(case):
+    """mmse_max_min_power and max_min_sinr_tangent give the reference chain's
+    bits: powers, tau, flag, factorization, gradient and power slope."""
+    name, chan, phase, cap, start = _tau_chain_cases()[case]
+    sigma2 = 1.0
+    g = effective_channel(chan, phase)
+    with mock.patch.object(beamforming, "interference_cholesky",
+                           wraps=beamforming.interference_cholesky) as fallback:
+        result = mmse_max_min_power(g, cap, sigma2, start=start)
+    expected = oracles.reference_mmse_max_min_power(g, cap, sigma2, start=start)
+    assert (name == "fallback-user") == (fallback.call_count > 0)
+    assert (name == "zero-column") == result.degenerate == expected.degenerate
+    assert result.tau == expected.tau
+    assert np.array_equal(result.power.p, expected.power.p)
+    if not result.degenerate:
+        for field in ("directions", "sinr", "couplings"):
+            assert np.array_equal(getattr(result.mmse_state, field),
+                                  getattr(expected.mmse_state, field)), field
+
+    gradient, result, slope = max_min_sinr_tangent(chan, phase, cap, sigma2, start=start)
+    ref_gradient, expected, ref_slope = oracles.reference_max_min_sinr_tangent(
+        chan, phase, cap, sigma2, start=start)
+    assert np.array_equal(gradient, ref_gradient)
+    assert np.array_equal(slope, ref_slope)
+    assert result.tau == expected.tau
+    assert np.array_equal(result.power.p, expected.power.p)
+
+
+def _same_lse_result(actual, expected):
+    assert np.array_equal(actual.phase.theta, expected.phase.theta)
+    assert actual.phase.alpha == expected.phase.alpha
+    assert actual.min_sinr == expected.min_sinr
+    assert (actual.iterations, actual.converged, actual.warning) == \
+        (expected.iterations, expected.converged, expected.warning)
+    assert np.array_equal(actual.power.p, expected.power.p)
+
+
+@pytest.mark.parametrize("draw", [0, 1])
+def test_lse_matches_the_reference_chain_bit_for_bit(monkeypatch, draw):
+    """On two headline draws, lse_max_min_phase gives every LseResult field of
+    the reference chain, and an lse run of the loop every Solution field
+    (wall time aside) of the same run on the reference chain."""
+    cfg = SystemConfig(m=12, n=24, k=6)
+    chan = sample_channel(cfg, np.random.default_rng((15, draw)))
+    cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
+    init = PhaseVector.random(cfg.n, cfg.alpha, np.random.default_rng((16, draw)))
+    _same_lse_result(lse_max_min_phase(chan, init, cap, cfg.sigma2),
+                     oracles.reference_lse_max_min_phase(chan, init, cap, cfg.sigma2))
+
+    solution = alternating_optimize(cfg, chan, "lse", np.random.default_rng((17, draw)))
+    monkeypatch.setattr(alternating, "lse_max_min_phase", oracles.reference_lse_max_min_phase)
+    expected = alternating_optimize(cfg, chan, "lse", np.random.default_rng((17, draw)))
+    for name in ("bf", "power", "phase", "report"):
+        ours, theirs = getattr(solution, name), getattr(expected, name)
+        for field, value in vars(ours).items():
+            same = (np.array_equal(value, getattr(theirs, field)) if isinstance(value, np.ndarray)
+                    else value == getattr(theirs, field))
+            assert same, (name, field)
+    for name in ("iterations", "method", "converged", "degenerate", "diagnostics"):
+        assert getattr(solution, name) == getattr(expected, name), name
+    assert np.array_equal(solution.p_cap, expected.p_cap)
+
+
+@pytest.mark.parametrize("entry", ["mmse_max_min_power", "max_min_sinr_tangent",
+                                   "optimal_beamformers", "lse_max_min_phase"])
+def test_a_non_finite_effective_channel_raises_at_every_entry(entry):
+    """A nan phase angle makes a nan effective channel; every entry into the
+    MMSE kernel reports it as a NumericError."""
+    rng = np.random.default_rng(12)
+    chan = synth_channel(rng, 4, 5, 3)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 5)
+    theta[2] = np.nan
+    phase = PhaseVector(theta=theta)
+    cap = np.array([1.0, 0.5, 0.8])
+    calls = {
+        "mmse_max_min_power": lambda: mmse_max_min_power(effective_channel(chan, phase), cap, 0.5),
+        "max_min_sinr_tangent": lambda: max_min_sinr_tangent(chan, phase, cap, 0.5),
+        "optimal_beamformers": lambda: optimal_beamformers(chan, phase, cap, 0.5),
+        "lse_max_min_phase": lambda: lse_max_min_phase(chan, phase, cap, 0.5),
+    }
+    with pytest.raises(NumericError, match="non-finite"):
+        calls[entry]()

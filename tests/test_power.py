@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import (DomainError, GainTable, PhaseVector, SystemConfig,
-                        effective_channel, effective_power_cap, max_min_power,
-                        sample_channel)
+from ris_maxmin import (ConfigurationError, DomainError, GainTable, PhaseVector,
+                        SystemConfig, effective_channel, effective_power_cap,
+                        max_min_power, sample_channel)
 from ris_maxmin import power
 from ris_maxmin.beamforming import post_bf_sinr_values
 from ris_maxmin.power import gain_table, mmse_max_min_power
@@ -344,3 +344,63 @@ def test_mmse_power_step_stops_once_balanced_at_high_sinr(monkeypatch):
         assert sinr.max() / sinr.min() - 1.0 <= 1e-9
         assert result.tau == sinr.min()
         assert np.array_equal(original(g, result.power.p, sigma2).sinr, sinr)
+
+
+def _probe_problem():
+    """A 4 x 3 channel with unequal caps: every bad input below rides on it."""
+    g = complex_normal(np.random.default_rng(31), (4, 3))
+    return g, np.array([1.0, 0.5, 0.8]), 0.5
+
+
+@pytest.mark.parametrize("start, cap, noise", [
+    ((0.0, 1.0, 1.0), None, None),             # a zero start power: 0/0 steps, tau 0
+    ((-1.0, 1.0, 1.0), None, None),            # a negative one: an indefinite factorization
+    ((1.0, 1.0), None, None),                  # the wrong length
+    ((np.nan, 1.0, 1.0), None, None),
+    ((np.inf, 1.0, 1.0), None, None),
+    (None, (np.nan, 0.5, 0.8), None),          # a nan cap: the whole step budget, then a reject
+    (None, (np.inf, 0.5, 0.8), None),
+    (None, (0.0, 0.5, 0.8), None),
+    (None, (1.0, 0.5), None),
+    (None, None, 0.0),
+    (None, None, np.nan),
+    (None, None, np.inf),
+], ids=["zero-start", "negative-start", "short-start", "nan-start", "inf-start",
+        "nan-cap", "inf-cap", "zero-cap", "short-cap", "zero-sigma2", "nan-sigma2",
+        "inf-sigma2"])
+def test_mmse_power_rejects_bad_start_or_caps_before_factoring(monkeypatch, start, cap, noise):
+    g, good_cap, sigma2 = _probe_problem()
+    calls = []
+    original = power.post_bf_sinr_values
+
+    def counted(g, p, sigma2):
+        calls.append(1)
+        return original(g, p, sigma2)
+
+    monkeypatch.setattr(power, "post_bf_sinr_values", counted)
+    assert not mmse_max_min_power(g, good_cap, sigma2).degenerate
+    calls.clear()
+    with pytest.raises(ConfigurationError):
+        mmse_max_min_power(g, good_cap if cap is None else np.array(cap),
+                           sigma2 if noise is None else noise,
+                           start=None if start is None else np.array(start))
+    assert calls == []
+
+
+@pytest.mark.parametrize("cap", [(np.nan, 0.5, 0.8), (np.inf, 0.5, 0.8), (0.0, 0.5, 0.8),
+                                 (1.0, 0.5)], ids=["nan", "inf", "zero", "short"])
+def test_max_min_power_rejects_bad_caps_before_solving(monkeypatch, cap, rng):
+    gains = random_gain_table(rng, 3)
+    solves = []
+    original = np.linalg.eigvals
+
+    def counted(a):
+        solves.append(1)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert not max_min_power(gains, np.array([1.0, 0.5, 0.8])).degenerate
+    solves.clear()
+    with pytest.raises(ConfigurationError):
+        max_min_power(gains, np.array(cap))
+    assert solves == []
