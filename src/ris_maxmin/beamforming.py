@@ -25,18 +25,21 @@ than the algebra).
 Where each check runs: post_bf_sinr_values checks on every call that the
 effective channels are finite (NumericError), and the factorization's info
 code reports a matrix that is not positive definite (NumericError), such
-as one made by a negative power. It trusts the powers and sigma2 otherwise:
-optimal_beamformers and phase.sinr_phase_tangent check sigma2 before
-calling it, and power.mmse_max_min_power checks sigma2, the caps and its
-start powers once at entry, before the first factorization.
+as one made by a negative power. It trusts the powers and sigma2 otherwise.
+sigma2 has one rule, 0 < sigma2 < inf (core._check_sigma2, the rule of
+SystemConfig too), checked at entry to every public function that takes it:
+optimal_beamformers, core.sinr_per_user, phase.build_quadratic_forms,
+phase.sinr_phase_tangent, phase.lse_gradient_phase and
+power.mmse_max_min_power, which also checks the caps and its start powers
+once, all before the first factorization.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import (Beamformer, ChannelRealization, PhaseVector, _power_array,
-                   effective_channel)
-from .errors import ConfigurationError, NumericError
+from .core import (Beamformer, ChannelRealization, PhaseVector, _check_sigma2,
+                   _power_array, effective_channel)
+from .errors import NumericError
 
 # slack 1/(1+SINR) below which Sherman-Morrison has lost too many digits:
 # the subtraction costs a relative error of a few eps * SINR, so above SINR
@@ -136,8 +139,7 @@ def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
     A user with a zero effective channel gets the first standard basis
     vector; every other row is (S_k + sigma2*I)^{-1} g_k normalized.
     """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    _check_sigma2(sigma2)
     p = _power_array(powers)
     g = effective_channel(chan, phase)
     rows = post_bf_sinr_values(g, p, sigma2).directions.T

@@ -6,113 +6,43 @@ state, so concurrent trials simply use disjoint generators. Given the same
 generator state the draw order is fixed and the output is bit-reproducible.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import TWO_PI, ChannelRealization, SystemConfig
 from .errors import ConfigurationError, DomainError
 
-LOS_EXPONENT = 2.2
-LOS_INTERCEPT_DB = 35.95
-NLOS_EXPONENT = 3.67
-NLOS_INTERCEPT_DB = 33.05
+# UMi distance laws: (exponent, intercept in dB)
+LOS = (2.2, 35.95)
+NLOS = (3.67, 33.05)
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    """Distance power law 10^((g_t + g_r - intercept)/10) / d^exponent."""
-
-    exponent: float
-    intercept_db: float
-    gain_tx_dbi: float = 0.0
-    gain_rx_dbi: float = 0.0
-
-    @classmethod
-    def los(cls, gain_tx_dbi: float = 0.0, gain_rx_dbi: float = 0.0) -> "PathLossModel":
-        return cls(LOS_EXPONENT, LOS_INTERCEPT_DB, gain_tx_dbi, gain_rx_dbi)
-
-    @classmethod
-    def nlos(cls, gain_tx_dbi: float = 0.0, gain_rx_dbi: float = 0.0) -> "PathLossModel":
-        return cls(NLOS_EXPONENT, NLOS_INTERCEPT_DB, gain_tx_dbi, gain_rx_dbi)
-
-
-def path_loss(d, model: PathLossModel):
-    """Linear power gain of a link of length ``d`` metres (strictly decreasing in d)."""
+def path_loss(d, law: tuple[float, float], gain_db: float = 0.0):
+    """Linear power gain 10^((gain_db - intercept)/10) / d^exponent of a link
+    of length ``d`` metres under ``law`` (LOS or NLOS); ``gain_db`` is the sum
+    of its two antenna gains in dBi. Strictly decreasing in d."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise DomainError("distance must be positive")
-    intercept = 10.0 ** ((model.gain_tx_dbi + model.gain_rx_dbi - model.intercept_db) / 10.0)
-    out = intercept / d ** model.exponent
+    exponent, intercept_db = law
+    out = 10.0 ** ((gain_db - intercept_db) / 10.0) / d ** exponent
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LosAngleSet:
-    """Elevation/azimuth angle draws for the deterministic BS-RIS component.
-
-    ``theta1``/``phi1`` have one entry per RIS element, ``theta2``/``phi2``
-    one per BS antenna. Elevations are uniform on [0, pi], azimuths on
-    [0, 2*pi].
-    """
-
-    theta1: np.ndarray
-    phi1: np.ndarray
-    theta2: np.ndarray
-    phi2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if np.any(a < 0) or np.any(a > np.pi):
-                raise ConfigurationError(f"{name} must lie in [0, pi]")
-            object.__setattr__(self, name, a)
-        for name in ("phi1", "phi2"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if np.any(a < 0) or np.any(a > TWO_PI):
-                raise ConfigurationError(f"{name} must lie in [0, 2*pi]")
-            object.__setattr__(self, name, a)
-
-
-def sample_los_angles(m: int, n: int, rng: np.random.Generator) -> LosAngleSet:
-    return LosAngleSet(
-        theta1=rng.uniform(0.0, np.pi, size=n),
-        phi1=rng.uniform(0.0, TWO_PI, size=n),
-        theta2=rng.uniform(0.0, np.pi, size=m),
-        phi2=rng.uniform(0.0, TWO_PI, size=m),
-    )
-
-
-def los_steering_matrix(m: int, n: int, angles: LosAngleSet,
-                        d_bs: float = SystemConfig.d_bs,
-                        d_ris: float = SystemConfig.d_ris) -> np.ndarray:
+def los_steering_matrix(theta1, phi1, theta2, phi2, d_bs: float, d_ris: float) -> np.ndarray:
     """Unit-modulus (m, n) steering matrix of the deterministic BS-RIS path.
 
-    Entry (a, b), zero-based, is
+    ``theta1``/``phi1`` hold one elevation/azimuth per RIS element (n),
+    ``theta2``/``phi2`` one per BS antenna (m). Entry (a, b), zero-based, is
     exp(j*2*pi*(a*d_bs*sin(theta1[b])*sin(phi1[b]) + b*d_ris*sin(theta2[a])*sin(phi2[a])))
     with the spacings expressed as fractions of the wavelength, so only the
     ratios enter.
     """
     if d_bs <= 0 or d_ris <= 0:
         raise ConfigurationError("element spacings must be positive")
-    bs_term = np.arange(m)[:, None] * d_bs * (np.sin(angles.theta1) * np.sin(angles.phi1))[None, :]
-    ris_term = np.arange(n)[None, :] * d_ris * (np.sin(angles.theta2) * np.sin(angles.phi2))[:, None]
+    m, n = len(theta2), len(theta1)
+    bs_term = np.arange(m)[:, None] * d_bs * (np.sin(theta1) * np.sin(phi1))[None, :]
+    ris_term = np.arange(n)[None, :] * d_ris * (np.sin(theta2) * np.sin(phi2))[:, None]
     return np.exp(1j * TWO_PI * (bs_term + ris_term))
-
-
-def sample_user_positions(config: SystemConfig, rng: np.random.Generator,
-                          k: int | None = None) -> np.ndarray:
-    """Uniform draws over {first quadrant} intersected with the annulus
-    r_min <= ||x|| <= r_max centred on the BS at the origin.
-
-    Area-uniform: radius via inverse CDF sqrt(r_min^2 + u*(r_max^2 - r_min^2)),
-    angle uniform on [0, pi/2]. Returns a (k, 2) array.
-    """
-    if k is None:
-        k = config.k
-    radius = np.sqrt(config.r_min ** 2 + rng.random(k) * (config.r_max ** 2 - config.r_min ** 2))
-    angle = rng.uniform(0.0, np.pi / 2.0, size=k)
-    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
 
 
 def ris_correlation_sqrt(n: int, rho: float) -> np.ndarray:
@@ -139,25 +69,33 @@ def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRea
 
     BS-RIS: Rician mixture sqrt(PL_LOS(d)/n) * (sqrt(kappa/(kappa+1)) * Hbar
     + sqrt(1/(kappa+1)) * Htilde) where d is the BS-RIS distance, the RIS
-    transmits with 0 dBi and the BS receives with its element gain.
+    transmits with its gain and the BS receives with its element gain. Hbar
+    is the steering matrix of elevations uniform on [0, pi] and azimuths
+    uniform on [0, 2*pi], drawn per RIS element, then per BS antenna.
+    Users: area-uniform over the first-quadrant annulus r_min <= ||x|| <= r_max
+    around the BS at the origin, with radius sqrt(r_min^2 + u*(r_max^2 - r_min^2))
+    for uniform u and angle uniform on [0, pi/2].
     RIS-user links: sqrt(PL_NLOS(d_k)) times i.i.d. standard complex normal
-    entries, both node classes at 0 dBi unless configured otherwise.
+    entries, with the user and RIS gains.
     """
     m, n, k = config.m, config.n, config.k
     ris = np.asarray(config.ris_position, dtype=float)
     d_bs_ris = float(np.linalg.norm(ris))
-    pl_los = path_loss(d_bs_ris, PathLossModel.los(config.gain_ris_dbi, config.gain_bs_dbi))
+    pl_los = path_loss(d_bs_ris, LOS, config.gain_ris_dbi + config.gain_bs_dbi)
 
-    angles = sample_los_angles(m, n, rng)
-    h1_bar = los_steering_matrix(m, n, angles, config.d_bs, config.d_ris)
+    theta1, phi1 = rng.uniform(0.0, np.pi, size=n), rng.uniform(0.0, TWO_PI, size=n)
+    theta2, phi2 = rng.uniform(0.0, np.pi, size=m), rng.uniform(0.0, TWO_PI, size=m)
+    h1_bar = los_steering_matrix(theta1, phi1, theta2, phi2, config.d_bs, config.d_ris)
     h1_tilde = _standard_complex(rng, (m, n))
     kap = config.kappa
     h1 = np.sqrt(pl_los / n) * (np.sqrt(kap / (kap + 1.0)) * h1_bar
                                 + np.sqrt(1.0 / (kap + 1.0)) * h1_tilde)
 
-    positions = sample_user_positions(config, rng)
+    radius = np.sqrt(config.r_min ** 2 + rng.random(k) * (config.r_max ** 2 - config.r_min ** 2))
+    angle = rng.uniform(0.0, np.pi / 2.0, size=k)
+    positions = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
     d_user_ris = np.linalg.norm(positions - ris[None, :], axis=1)
-    pl_nlos = path_loss(d_user_ris, PathLossModel.nlos(config.gain_user_dbi, config.gain_ris_dbi))
+    pl_nlos = path_loss(d_user_ris, NLOS, config.gain_user_dbi + config.gain_ris_dbi)
     h2 = np.sqrt(pl_nlos)[:, None] * _standard_complex(rng, (k, n))
 
     return ChannelRealization(
@@ -195,32 +133,59 @@ def dump_channel_text(chan: ChannelRealization) -> str:
 
 
 def load_channel_text(text: str) -> ChannelRealization:
-    """Parse the dump format written by :func:`dump_channel_text`."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != CHANNEL_DUMP_HEADER:
+    """Parse the dump format written by :func:`dump_channel_text`.
+
+    Blank lines are skipped. Any other departure from the layout raises
+    ConfigurationError naming the line: a bad format, dimension or section
+    line, an entry that is not two numbers, a dump cut short, or text after
+    its END line.
+    """
+    rows = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
+            if line.strip()]
+    if not rows or rows[0][1] != CHANNEL_DUMP_HEADER:
         raise ConfigurationError("not a channel dump: bad or missing header line")
-    try:
-        dims = {key: int(val) for key, val in (lines[i].split() for i in (1, 2, 3))}
-        m, n, k = dims["M"], dims["N"], dims["K"]
-    except (ValueError, KeyError, IndexError) as exc:
-        raise ConfigurationError(f"malformed dimension header: {exc}") from exc
+
+    def row(i: int, what: str) -> tuple[int, str]:
+        if i >= len(rows):
+            raise ConfigurationError(f"channel dump ends at line {rows[-1][0]}, before {what}")
+        return rows[i]
+
+    def section(i: int, tag: str) -> None:
+        number, line = row(i, f"section {tag!r}")
+        if line != tag:
+            raise ConfigurationError(f"line {number}: expected section {tag!r}, got {line!r}")
+
+    def pair(i: int, tag: str) -> tuple[float, float]:
+        number, line = row(i, f"the end of section {tag!r}")
+        try:
+            first, second = (float(v) for v in line.split())
+        except ValueError:
+            raise ConfigurationError(f"line {number}: expected two numbers in section {tag!r}, "
+                                     f"got {line!r}") from None
+        return first, second
+
+    dims = []
+    for i, key in enumerate("MNK", 1):
+        number, line = row(i, f"the {key} line")
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != key or not fields[1].isdecimal() or int(fields[1]) < 1:
+            raise ConfigurationError(f"line {number}: expected '{key} <positive integer>', got {line!r}")
+        dims.append(int(fields[1]))
+    m, n, k = dims
 
     pos = 4
     arrays = {}
-    for tag, count in (("H1", m * n), ("RIS_CORR_SQRT", n * n), ("H2", k * n)):
-        if lines[pos] != tag:
-            raise ConfigurationError(f"expected section {tag!r} at line {pos + 1}")
-        pos += 1
-        vals = np.array([[float(v) for v in lines[pos + i].split()] for i in range(count)])
-        arrays[tag] = vals[:, 0] + 1j * vals[:, 1]
-        pos += count
-    if lines[pos] != "POSITIONS":
-        raise ConfigurationError(f"expected section 'POSITIONS' at line {pos + 1}")
-    pos += 1
-    positions = np.array([[float(v) for v in lines[pos + i].split()] for i in range(k)])
+    for tag, count in (("H1", m * n), ("RIS_CORR_SQRT", n * n), ("H2", k * n), ("POSITIONS", k)):
+        section(pos, tag)
+        arrays[tag] = np.array([pair(pos + 1 + i, tag) for i in range(count)])
+        pos += 1 + count
+    section(pos, "END")
+    if pos + 1 < len(rows):
+        raise ConfigurationError(f"line {rows[pos + 1][0]}: text after the END line")
+    h1, corr, h2 = (arrays[tag][:, 0] + 1j * arrays[tag][:, 1] for tag in ("H1", "RIS_CORR_SQRT", "H2"))
     return ChannelRealization(
-        h1=arrays["H1"].reshape(m, n),
-        ris_corr_sqrt=arrays["RIS_CORR_SQRT"].reshape(n, n),
-        h2=arrays["H2"].reshape(k, n),
-        user_positions=positions,
+        h1=h1.reshape(m, n),
+        ris_corr_sqrt=corr.reshape(n, n),
+        h2=h2.reshape(k, n),
+        user_positions=arrays["POSITIONS"],
     )

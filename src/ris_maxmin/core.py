@@ -42,6 +42,13 @@ _MAX_GAIN_DB = 5.0 * math.log10(sys.float_info.max)
 _MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
+def _check_sigma2(sigma2) -> None:
+    """ConfigurationError unless the noise power ``sigma2`` is positive and
+    finite, the rule SystemConfig holds its own sigma2 to."""
+    if not 0.0 < sigma2 < np.inf:
+        raise ConfigurationError(f"sigma2 must be finite and positive, got {sigma2}")
+
+
 def _as_float_array(value, k: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
@@ -363,6 +370,5 @@ def sinr_per_user(chan: ChannelRealization, phase: PhaseVector, powers, bf,
     actual combiner norm, so un-normalized probe combiners are handled
     correctly; a zero combiner row has no noise term and is rejected.
     """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    _check_sigma2(sigma2)
     return SinrReport.from_per_user(gain_table(chan, phase, bf, sigma2).sinr(_power_array(powers)))

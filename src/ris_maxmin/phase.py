@@ -43,7 +43,7 @@ import numpy as np
 
 from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
-                   _bf_matrix, _power_array, effective_channel)
+                   _bf_matrix, _check_sigma2, _power_array, effective_channel)
 from .errors import ConfigurationError, DomainError
 from .power import _balance_system, mmse_max_min_power
 
@@ -118,8 +118,7 @@ class QuadraticFormSet:
 
 def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -> QuadraticFormSet:
     """Assemble the quadratic forms for the current combiners and powers."""
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    _check_sigma2(sigma2)
     rows = _bf_matrix(bf)
     p = _power_array(powers)
     projected = chan.cascade_h @ rows.T                 # column k: (h1 R^(1/2))^H b_k
@@ -178,8 +177,7 @@ def sinr_phase_tangent(chan: ChannelRealization, powers, phase: PhaseVector,
     2*Re(j * phi_n * conj(deriv[k, n])). No T_k is formed: every T_k g_k
     and c_ki comes from the one MMSE kernel, beamforming.post_bf_sinr_values.
     """
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    _check_sigma2(sigma2)
     p = _power_array(powers)
     state = post_bf_sinr_values(effective_channel(chan, phase), p, sigma2)
     return _tangent(phase, _derivative_terms(chan, p, phase, state)), state.sinr
@@ -271,6 +269,7 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
     """
     import scipy.optimize  # deferred, as in lse_max_min_phase
 
+    _check_sigma2(sigma2)
     p = _power_array(powers)
     alpha = init.alpha
     rho = post_bf_sinr_values(effective_channel(chan, init), p, sigma2).sinr

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
-from .core import GainTable, PowerAllocation, _unchecked_powers
+from .core import GainTable, PowerAllocation, _check_sigma2, _unchecked_powers
 from .core import gain_table  # noqa: F401 (re-exported)
 from .errors import ConfigurationError, DomainError, NumericError
 
@@ -172,8 +172,7 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
     NumericError from the kernel.
     """
     k = g.shape[1]
-    if not 0.0 < sigma2 < np.inf:
-        raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
+    _check_sigma2(sigma2)
     cap = _checked_powers(p_cap, k, "power caps")
     p = cap if start is None else _checked_powers(start, k, "start powers")
     if ((np.abs(g) ** 2).sum(axis=0) == 0.0).any():

@@ -4,7 +4,10 @@ import pytest
 
 from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
                         PhaseVector, PowerAllocation, SinrReport, SystemConfig,
-                        effective_channel, sinr_per_user)
+                        build_quadratic_forms, effective_channel,
+                        lse_gradient_phase, optimal_beamformers,
+                        sinr_per_user, sinr_phase_tangent)
+from ris_maxmin import beamforming
 from ris_maxmin.core import gain_table, noise_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
@@ -221,3 +224,33 @@ def test_sigma_must_be_positive(rng):
 def test_noise_power_values():
     assert noise_power(1.0) == pytest.approx(10 ** (-17.4) * 1e-3, rel=1e-12)
     assert noise_power(1e8) == pytest.approx(10 ** (-9.4) * 1e-3, rel=1e-12)
+
+
+SIGMA2_ENTRIES = {
+    "optimal_beamformers": lambda chan, phase, p, bf, s2: optimal_beamformers(chan, phase, p, s2),
+    "sinr_per_user": lambda chan, phase, p, bf, s2: sinr_per_user(chan, phase, p, bf, s2),
+    "build_quadratic_forms": lambda chan, phase, p, bf, s2: build_quadratic_forms(chan, bf, p, s2),
+    "sinr_phase_tangent": lambda chan, phase, p, bf, s2: sinr_phase_tangent(chan, p, phase, s2),
+    "lse_gradient_phase": lambda chan, phase, p, bf, s2: lse_gradient_phase(chan, p, phase, s2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(SIGMA2_ENTRIES))
+def test_every_entry_rejects_bad_sigma2_before_factoring(monkeypatch, rng, entry, sigma2):
+    chan = synth_channel(rng, 3, 4, 2)
+    phase, bf, p = random_phase(rng, 4), random_beamformer(rng, 2, 3), np.array([0.7, 0.4])
+    factored = []
+    original = beamforming._cholesky_solve
+
+    def counted(a, b, what):
+        factored.append(what)
+        return original(a, b, what)
+
+    monkeypatch.setattr(beamforming, "_cholesky_solve", counted)
+    SIGMA2_ENTRIES[entry](chan, phase, p, bf, 0.5)
+    factored.clear()
+    with pytest.raises(ConfigurationError, match="sigma2 must be finite and positive"):
+        SIGMA2_ENTRIES[entry](chan, phase, p, bf, sigma2)
+    assert factored == []

@@ -363,11 +363,12 @@ def _probe_problem():
     (None, (0.0, 0.5, 0.8), None),
     (None, (1.0, 0.5), None),
     (None, None, 0.0),
+    (None, None, -1.0),
     (None, None, np.nan),
     (None, None, np.inf),
 ], ids=["zero-start", "negative-start", "short-start", "nan-start", "inf-start",
-        "nan-cap", "inf-cap", "zero-cap", "short-cap", "zero-sigma2", "nan-sigma2",
-        "inf-sigma2"])
+        "nan-cap", "inf-cap", "zero-cap", "short-cap", "zero-sigma2", "negative-sigma2",
+        "nan-sigma2", "inf-sigma2"])
 def test_mmse_power_rejects_bad_start_or_caps_before_factoring(monkeypatch, start, cap, noise):
     g, good_cap, sigma2 = _probe_problem()
     calls = []
