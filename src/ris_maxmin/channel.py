@@ -6,6 +6,9 @@ state, so concurrent trials simply use disjoint generators. Given the same
 generator state the draw order is fixed and the output is bit-reproducible.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from .core import TWO_PI, ChannelRealization, SystemConfig
@@ -107,29 +110,38 @@ def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRea
 
 
 CHANNEL_DUMP_HEADER = "ris-uplink-channel 1"
+# the dump's sections in order: h1, ris_corr_sqrt and h2 as one "re im" line
+# per entry, then the users' positions as one "x y" line each
+_SECTIONS = ("H1", "RIS_CORR_SQRT", "H2", "POSITIONS")
 
 
-def _complex_block(tag: str, arr) -> str:
-    """One array's block of the dump: the tag line, then one "re im" line per entry."""
-    # Python complex scalars from tolist() format faster than numpy ones, to the same bytes
-    return "".join([tag + "\n"] + [f"{z.real:.17g} {z.imag:.17g}\n" for z in np.ravel(arr).tolist()])
+def _block(tag: str, arr) -> str:
+    """One section of the dump: the tag line, then the array's row-major float
+    view two values per line, each to 17 significant digits."""
+    values = np.ravel(arr).view(float).tolist()
+    return tag + "\n" + "%.17g %.17g\n" * (len(values) // 2) % tuple(values)
 
 
-def _dump_around_correlation(chan: ChannelRealization) -> tuple[str, str]:
-    """The dump text before and after its RIS_CORR_SQRT block."""
-    positions = "".join(f"{x:.17g} {y:.17g}\n" for x, y in chan.user_positions.tolist())
-    head = f"{CHANNEL_DUMP_HEADER}\nM {chan.m}\nN {chan.n}\nK {chan.k}\n" + _complex_block("H1", chan.h1)
-    return head, _complex_block("H2", chan.h2) + "POSITIONS\n" + positions + "END\n"
+@functools.lru_cache(maxsize=8)
+def _correlation_block(root: bytes) -> str:
+    """The RIS_CORR_SQRT section of the correlation root with these bytes. The
+    root depends on (n, ris_corr_rho) alone, so a run formats it once per
+    scenario rather than once per trial."""
+    return _block("RIS_CORR_SQRT", np.frombuffer(root, dtype=complex))
 
 
 def dump_channel_text(chan: ChannelRealization) -> str:
     """Serialize one realization as a self-describing text record.
 
-    Layout: a format line, dimension lines, then each array as one
-    "re im" pair per line in row-major order, 17 significant digits.
+    Layout: a format line, the M, N and K lines, then each of _SECTIONS as
+    its tag line and one pair of numbers per line in row-major order ("re
+    im" per complex entry, "x y" per position) to 17 significant digits,
+    then an END line.
     """
-    head, tail = _dump_around_correlation(chan)
-    return head + _complex_block("RIS_CORR_SQRT", chan.ris_corr_sqrt) + tail
+    arrays = (chan.h1, chan.ris_corr_sqrt, chan.h2, chan.user_positions)
+    blocks = [_correlation_block(arr.tobytes()) if tag == "RIS_CORR_SQRT" else _block(tag, arr)
+              for tag, arr in zip(_SECTIONS, arrays)]
+    return "".join([f"{CHANNEL_DUMP_HEADER}\nM {chan.m}\nN {chan.n}\nK {chan.k}\n", *blocks, "END\n"])
 
 
 def load_channel_text(text: str) -> ChannelRealization:
@@ -137,8 +149,8 @@ def load_channel_text(text: str) -> ChannelRealization:
 
     Blank lines are skipped. Any other departure from the layout raises
     ConfigurationError naming the line: a bad format, dimension or section
-    line, an entry that is not two numbers, a dump cut short, or text after
-    its END line.
+    line, an entry that is not two finite numbers, a dump cut short, or text
+    after its END line.
     """
     rows = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
             if line.strip()]
@@ -162,6 +174,9 @@ def load_channel_text(text: str) -> ChannelRealization:
         except ValueError:
             raise ConfigurationError(f"line {number}: expected two numbers in section {tag!r}, "
                                      f"got {line!r}") from None
+        if not math.isfinite(first) or not math.isfinite(second):
+            raise ConfigurationError(f"line {number}: non-finite number in section {tag!r}, "
+                                     f"got {line!r}")
         return first, second
 
     dims = []
@@ -174,18 +189,19 @@ def load_channel_text(text: str) -> ChannelRealization:
     m, n, k = dims
 
     pos = 4
-    arrays = {}
-    for tag, count in (("H1", m * n), ("RIS_CORR_SQRT", n * n), ("H2", k * n), ("POSITIONS", k)):
+    pairs = []
+    for tag, count in zip(_SECTIONS, (m * n, n * n, k * n, k)):
         section(pos, tag)
-        arrays[tag] = np.array([pair(pos + 1 + i, tag) for i in range(count)])
+        pairs.append(np.array([pair(pos + 1 + i, tag) for i in range(count)]))
         pos += 1 + count
     section(pos, "END")
     if pos + 1 < len(rows):
         raise ConfigurationError(f"line {rows[pos + 1][0]}: text after the END line")
-    h1, corr, h2 = (arrays[tag][:, 0] + 1j * arrays[tag][:, 1] for tag in ("H1", "RIS_CORR_SQRT", "H2"))
+    h1, corr, h2, positions = pairs
+    # the complex view reads each (re, im) pair back bit for bit, signed zeros included
     return ChannelRealization(
-        h1=h1.reshape(m, n),
-        ris_corr_sqrt=corr.reshape(n, n),
-        h2=h2.reshape(k, n),
-        user_positions=arrays["POSITIONS"],
+        h1=h1.view(complex).reshape(m, n),
+        ris_corr_sqrt=corr.view(complex).reshape(n, n),
+        h2=h2.view(complex).reshape(k, n),
+        user_positions=positions,
     )

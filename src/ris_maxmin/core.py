@@ -164,7 +164,7 @@ class ChannelRealization:
         if self.user_positions.shape != (self.h2.shape[0], 2):
             raise ConfigurationError(
                 f"user_positions shape {self.user_positions.shape} does not match k={self.h2.shape[0]}")
-        for name in ("h1", "ris_corr_sqrt", "h2"):
+        for name in ("h1", "ris_corr_sqrt", "h2", "user_positions"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} contains non-finite entries")
         object.__setattr__(self, "cascade", self.h1 @ self.ris_corr_sqrt)

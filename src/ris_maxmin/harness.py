@@ -11,7 +11,6 @@ CSVs apart from the wall-time column.
 """
 
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -23,7 +22,7 @@ import numpy as np
 
 from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
                           alternating_optimize)
-from .channel import _complex_block, _dump_around_correlation, sample_channel
+from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
 from .phase import QUANT_MAX_EVALS, QuantOptions
@@ -244,23 +243,9 @@ def _scaled_config(base: SystemConfig, k: int, m: int, n: int) -> SystemConfig:
                    sar_ref=rebroadcast(base.sar_ref), emf_max=rebroadcast(base.emf_max))
 
 
-@functools.lru_cache(maxsize=8)
-def _correlation_block(matrix: bytes) -> bytes:
-    """The dump's RIS_CORR_SQRT block of the correlation root with these bytes.
-
-    The root depends on (n, ris_corr_rho) alone, so a run formats it once
-    per scenario rather than once per trial.
-    """
-    return _complex_block("RIS_CORR_SQRT", np.frombuffer(matrix, dtype=complex)).encode("utf-8")
-
-
 def _channel_hash(chan) -> str:
     """The first 16 hex digits of the sha256 of dump_channel_text(chan)."""
-    head, tail = _dump_around_correlation(chan)
-    digest = hashlib.sha256(head.encode("utf-8"))
-    digest.update(_correlation_block(chan.ris_corr_sqrt.tobytes()))
-    digest.update(tail.encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return hashlib.sha256(dump_channel_text(chan).encode("utf-8")).hexdigest()[:16]
 
 
 def _method_runs(plan: ExperimentPlan):

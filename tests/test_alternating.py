@@ -10,7 +10,7 @@ import ris_maxmin
 from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         alternating_optimize, effective_channel, sample_channel,
                         sinr_per_user)
-from ris_maxmin import alternating
+from ris_maxmin import alternating, phase
 from ris_maxmin.alternating import METHODS
 from ris_maxmin.core import ChannelRealization, GainTable
 from ris_maxmin.errors import NumericError
@@ -96,6 +96,14 @@ def test_quant_respects_grid():
                                phase_options=QuantOptions(bits=2))
     grid = 2 * np.pi * np.arange(4) / 4
     assert np.all(np.isin(sol.phase.theta.round(12), grid.round(12)))
+
+
+def test_quant_budget_stop_is_a_sweep_diagnostic(monkeypatch):
+    monkeypatch.setattr(phase, "QUANT_MAX_EVALS", 40)
+    sol = alternating_optimize(SMALL, small_channel(3), "quant", np.random.default_rng(4),
+                               max_sweeps=1, phase_options=QuantOptions(bits=3))
+    assert sol.diagnostics == [
+        "sweep 1: evaluation budget exhausted before the improvement window settled"]
 
 
 def test_degenerate_channel_flagged():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import ConfigurationError, DomainError, SystemConfig, sample_channel
+from ris_maxmin import (ChannelRealization, ConfigurationError, DomainError, SystemConfig,
+                        sample_channel)
 from ris_maxmin.channel import (LOS, NLOS, dump_channel_text, load_channel_text,
                                 los_steering_matrix, path_loss,
                                 ris_correlation_sqrt)
@@ -174,6 +175,8 @@ MALFORMED_DUMPS = {
     "three-field position": lambda t: _with_line(t, 44, "1 2 3"),
     "missing END": lambda t: _without_line(t, 46),
     "trailing line": lambda t: t + "0 0\n",
+    "non-finite channel entry": lambda t: _with_line(t, 7, "nan 0"),
+    "non-finite position": lambda t: _with_line(t, 44, "nan inf"),
 }
 
 
@@ -186,7 +189,35 @@ def test_load_channel_text_rejects_malformed_dump_naming_the_line(case):
         load_channel_text(MALFORMED_DUMPS[case](text))
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
-def test_channel_dump_bytes_match_the_per_element_formatter(k):
-    chan = sample_channel(SystemConfig(m=12, n=24, k=k), np.random.default_rng((11, k)))
+@pytest.mark.parametrize("k, rho", [pytest.param(k, rho, id=f"{k}" if rho == 0 else f"{k}-{rho}")
+                                    for rho in (0.0, 0.4) for k in (2, 4, 6)])
+def test_channel_dump_bytes_match_the_per_element_formatter(k, rho):
+    # at rho = 0.4 the correlation root's entries take all 17 digits
+    cfg = SystemConfig(m=12, n=24, k=k, ris_corr_rho=rho)
+    chan = sample_channel(cfg, np.random.default_rng((11, k)))
     assert dump_channel_text(chan).encode() == dump_channel_text_per_element(chan).encode()
+
+
+def _extreme_realization():
+    """Signed zeros, the smallest subnormal, a near-overflow magnitude and a
+    negative position."""
+    return ChannelRealization(
+        h1=np.array([[complex(-0.0, 0.0), complex(5e-324, -5e-324)],
+                     [complex(1e308, -1e308), complex(-0.0, -0.0)]]),
+        ris_corr_sqrt=np.array([[1.0, 0.1 + 0.2j], [0.1 - 0.2j, -2.5e-310]]),
+        h2=np.array([[complex(1 / 3, -2 / 3), complex(-1e-300, 7.0)]]),
+        user_positions=np.array([[-12.5, -0.0]]),
+    )
+
+
+def test_channel_dump_bytes_of_extreme_entries_match_the_per_element_formatter():
+    text = dump_channel_text(_extreme_realization())
+    assert text.encode() == dump_channel_text_per_element(_extreme_realization()).encode()
+    assert "-0 -0\n" in text and "4.9406564584124654e-324" in text
+
+
+def test_channel_dump_round_trip_keeps_every_bit_of_extreme_entries():
+    chan = _extreme_realization()
+    back = load_channel_text(dump_channel_text(chan))
+    for name in ("h1", "ris_corr_sqrt", "h2", "user_positions"):
+        assert getattr(back, name).tobytes() == getattr(chan, name).tobytes(), name

@@ -102,6 +102,18 @@ def test_effective_channel_dimension_mismatch(rng):
         effective_channel(chan, random_phase(rng, 5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("h1", np.nan), ("ris_corr_sqrt", np.inf), ("h2", complex(0.0, -np.inf)),
+    ("user_positions", np.nan), ("user_positions", -np.inf),
+])
+def test_channel_realization_rejects_non_finite_entries(field, value):
+    arrays = dict(h1=np.ones((2, 3), dtype=complex), ris_corr_sqrt=np.eye(3, dtype=complex),
+                  h2=np.ones((2, 3), dtype=complex), user_positions=np.ones((2, 2)))
+    arrays[field][1, 0] = value
+    with pytest.raises(ConfigurationError, match=f"{field} contains non-finite entries"):
+        ChannelRealization(**arrays)
+
+
 def test_single_user_no_interference():
     chan = ChannelRealization(h1=np.ones((1, 1)), ris_corr_sqrt=np.ones((1, 1)),
                               h2=np.ones((1, 1)), user_positions=np.zeros((1, 2)))

@@ -248,8 +248,8 @@ def test_batched_quant_swaps_leave_the_csv_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("n, rho", [(6, 0.0), (9, 0.45)])
 def test_channel_hash_is_the_hash_of_the_dump(n, rho):
-    """The hash reuses one formatted RIS_CORR_SQRT block per scenario; it must
-    still be the hash of the whole dump that dump-channel writes."""
+    """Every trial's CSV hash is the README's: the first 16 hex digits of the
+    sha256 of the dump that dump-channel writes, correlated scenario included."""
     config, plan = parse_config_text(f"m: 4\nn: {n}\nk: 3\nris_corr_rho: {rho}\ntrials: 4\nseed: 3\n")
     for trial in range(plan.trials):
         chan = harness.trial_channel(config, plan, 0, trial)[2]

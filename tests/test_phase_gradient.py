@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ris_maxmin import (PhaseVector, effective_channel, lse_gradient_phase,
-                        sinr_phase_tangent)
+from ris_maxmin import (ChannelRealization, PhaseVector, effective_channel,
+                        lse_gradient_phase, sinr_phase_tangent)
 from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
                               max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
@@ -105,6 +105,19 @@ def test_lse_gradient_stopping_contract(rng):
     p = rng.uniform(0.2, 1.0, 2)
     out = lse_gradient_phase(chan, p, phase, 1.0)
     assert out.converged or out.iterations <= LSE_MAX_ITERS
+
+
+def test_lse_gradient_returns_a_degenerate_start_unchanged(rng):
+    chan = synth_channel(rng, 3, 4, 2)
+    chan = ChannelRealization(h1=chan.h1, ris_corr_sqrt=chan.ris_corr_sqrt,
+                              h2=np.vstack([chan.h2[:1], np.zeros((1, 4))]),
+                              user_positions=chan.user_positions)
+    phase = random_phase(rng, 4)
+    out = lse_gradient_phase(chan, np.array([0.5, 0.5]), phase, 1.0)
+    assert out.phase is phase
+    assert out.iterations == 0 and not out.converged
+    assert out.min_sinr == 0.0
+    assert out.warning == "degenerate SINR at the initial phase"
 
 
 def test_lse_max_min_phase_climbs_the_power_controlled_minimum(rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ris_maxmin import (ConfigurationError, PhaseVector, QuantOptions,
                         build_quadratic_forms, grid_phase_from_uniform,
                         phase_grid, quantized_heuristic_phase)
+from ris_maxmin import phase
 from ris_maxmin.phase import QUANT_MAX_COLUMNS
 
 from conftest import random_beamformer, synth_channel
@@ -56,6 +57,17 @@ def test_output_on_grid_and_never_worse(rng):
         grid = phase_grid(3)
         assert np.all(np.isin(out.phase.theta.round(12), grid.round(12)))
         assert out.min_sinr >= objective(init.phi) - 1e-15
+
+
+def test_budget_stop_warns(monkeypatch, rng):
+    # a budget below QUANT_WINDOW stops the swaps before the window rule can
+    monkeypatch.setattr(phase, "QUANT_MAX_EVALS", 40)
+    _, objective = make_objective(rng, 4, 6, 3)
+    init = grid_phase_from_uniform(rng.random(6), 3, 1.0)
+    out = quantized_heuristic_phase(objective, init, rng, QuantOptions(bits=3))
+    assert out.warning == "evaluation budget exhausted before the improvement window settled"
+    assert 40 <= len(out.tau_trace) < 40 + 8
+    assert out.tau_trace[-1] == out.min_sinr
 
 
 def test_trace_nondecreasing(rng):
