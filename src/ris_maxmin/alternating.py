@@ -20,6 +20,7 @@ fixed-power objective directly and propose new phases alone.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,19 @@ def _phase_proposal(method, config, chan, phase, power, bf, p_cap, rng, phase_op
     return out.phase, power, bf, out.warning
 
 
+def _check_sweep_settings(tol, max_sweeps, phase_options=None) -> None:
+    """ConfigurationError unless ``max_sweeps`` is a whole number >= 1,
+    ``tol`` >= 0 (nan fails) and ``phase_options`` is None or a QuantOptions."""
+    if not isinstance(max_sweeps, numbers.Integral):
+        raise ConfigurationError(f"max_sweeps must be a whole number, got {max_sweeps}")
+    if max_sweeps < 1:
+        raise ConfigurationError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if not tol >= 0.0:
+        raise ConfigurationError(f"tol must be >= 0, got {tol}")
+    if not (phase_options is None or isinstance(phase_options, QuantOptions)):
+        raise ConfigurationError(f"phase_options must be None or a QuantOptions, got {phase_options!r}")
+
+
 def _scored(table, power: PowerAllocation, stage: str) -> float:
     """The minimum SINR of an operating point; a nan minimum is a solver fault."""
     value = float(table.sinr(power.p).min())
@@ -105,6 +119,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    _check_sweep_settings(tol, max_sweeps, phase_options)
     started = time.perf_counter()
     sigma2 = config.sigma2
     p_cap = effective_power_cap(config.p_max, config.sar_ref, config.emf_max)
@@ -160,9 +175,8 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             break
         previous = current
 
-    per_user = sinr_per_user(chan, phase, power, bf, sigma2)
-    report = SinrReport(per_user=per_user.per_user, minimum=per_user.minimum,
-                        stage_trace=tuple(trace))
+    per_user = sinr_per_user(chan, phase, power, bf, sigma2).per_user
+    report = SinrReport(per_user=per_user, stage_trace=trace)
     return Solution(
         bf=bf,
         power=power,

@@ -272,25 +272,23 @@ class Beamformer:
 
 @dataclass(frozen=True, eq=False)
 class SinrReport:
-    """Per-user linear SINRs, their minimum, and an optional per-stage trace."""
+    """Per-user linear SINRs, their minimum (formed here), and an optional per-stage trace."""
 
     per_user: np.ndarray
-    minimum: float
     stage_trace: tuple = ()
+    minimum: float = field(init=False)
 
     def __post_init__(self):
         per_user = np.asarray(self.per_user, dtype=float)
         if np.any(per_user < 0):
             raise ConfigurationError("SINRs cannot be negative")
-        if abs(self.minimum - per_user.min()) > 1e-12 * max(1.0, abs(self.minimum)):
-            raise ConfigurationError("minimum does not match per-user SINRs")
         object.__setattr__(self, "per_user", per_user)
         object.__setattr__(self, "stage_trace", tuple(self.stage_trace))
+        object.__setattr__(self, "minimum", float(per_user.min()))
 
     @classmethod
     def from_per_user(cls, per_user, stage_trace=()) -> "SinrReport":
-        per_user = np.asarray(per_user, dtype=float)
-        return cls(per_user=per_user, minimum=float(per_user.min()), stage_trace=stage_trace)
+        return cls(per_user=per_user, stage_trace=stage_trace)
 
 
 def _power_array(powers) -> np.ndarray:

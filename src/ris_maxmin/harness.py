@@ -21,11 +21,11 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
-                          alternating_optimize)
+                          _check_sweep_settings, alternating_optimize)
 from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, db10
 from .errors import ConfigurationError
-from .phase import QUANT_MAX_EVALS, QuantOptions
+from .phase import QUANT_MAX_BITS, QuantOptions
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ class ExperimentPlan:
     max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
-        for key in ("trials", "max_sweeps"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.tol >= 0.0:
-            raise ConfigurationError(f"tol must be >= 0, got {self.tol}")
+        if self.trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        _check_sweep_settings(self.tol, self.max_sweeps)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; expected a subset of {METHODS}")
@@ -60,12 +58,13 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{key} must not repeat an entry, got {values}")
             if key in ("k_grid", "m_grid", "n_grid") and any(v < 1 for v in values):
                 raise ConfigurationError(f"{key} entries must be >= 1, got {values}")
-        # one swap of the quant heuristic tries every one of the 2^B levels
-        max_bits = QUANT_MAX_EVALS.bit_length() - 1
-        if any(not 1 <= b <= max_bits for b in self.b_grid):
+        try:
+            for bits in self.b_grid:
+                QuantOptions(bits=bits)
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                f"b_grid entries must lie in 1..{max_bits}, so that one swap's 2^B levels fit "
-                f"the {QUANT_MAX_EVALS} levels tried of the quant budget; got {self.b_grid}")
+                f"b_grid entries must lie in 1..{QUANT_MAX_BITS} and be whole numbers, so that one "
+                f"swap's 2^B levels fit the quant budget; got {self.b_grid}") from exc
 
 
 def _list_of(item):
@@ -159,6 +158,7 @@ def parse_config_text(text: str):
     plan_kwargs.setdefault("m_grid", (config.m,))
     plan_kwargs.setdefault("n_grid", (config.n,))
     plan = ExperimentPlan(**plan_kwargs)
+    _check_grid(config, plan)
     return config, plan
 
 
@@ -243,6 +243,15 @@ def _scaled_config(base: SystemConfig, k: int, m: int, n: int) -> SystemConfig:
                    sar_ref=rebroadcast(base.sar_ref), emf_max=rebroadcast(base.emf_max))
 
 
+def _check_grid(base: SystemConfig, plan: ExperimentPlan) -> None:
+    """ConfigurationError naming the first grid point whose scenario cannot be built."""
+    for k, m, n in _grid_points(plan):
+        try:
+            _scaled_config(base, k, m, n)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"grid point k={k}, m={m}, n={n}: {exc}") from exc
+
+
 def _channel_hash(chan) -> str:
     """The first 16 hex digits of the sha256 of dump_channel_text(chan)."""
     return hashlib.sha256(dump_channel_text(chan).encode("utf-8")).hexdigest()[:16]
@@ -319,11 +328,13 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     """Execute the full plan and optionally write the CSV.
 
     Rows come out sorted by grid point, trial, then planned method order, so
-    the output does not depend on worker scheduling. Each trial's rows are
-    written and flushed as the trial finishes, so a run that raises partway
-    leaves the rows of every trial before the failing one. Returns the
-    records.
+    the output does not depend on worker scheduling. A grid point whose
+    scenario cannot be built fails the run before the CSV is opened. Each
+    trial's rows are written and flushed as the trial finishes, so a run
+    that raises partway leaves the rows of every trial before the failing
+    one. Returns the records.
     """
+    _check_grid(config, plan)
     tasks = [(config, plan, gi, ti)
              for gi in range(len(_grid_points(plan))) for ti in range(plan.trials)]
 

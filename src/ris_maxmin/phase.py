@@ -37,6 +37,7 @@ slope at the best phase so far predicts where each candidate's power step
 starts.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,8 +343,8 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
 
 def phase_grid(bits: int) -> np.ndarray:
     """The 2^bits equispaced angles 2*pi*i/2^bits, i = 0..2^bits-1."""
-    if bits < 1:
-        raise ConfigurationError(f"bits must be >= 1, got {bits}")
+    if not isinstance(bits, numbers.Integral) or bits < 1:
+        raise ConfigurationError(f"bits must be a whole number >= 1, got {bits}")
     q = 2 ** bits
     return TWO_PI * np.arange(q) / q
 
@@ -361,11 +362,20 @@ QUANT_MAX_EVALS = 200_000   # swap heuristic's trace-entry budget; the window ru
 QUANT_WINDOW = 50           # the swaps stop once the summed improvement over the
 QUANT_EPSILON = 1e-8        # trailing QUANT_WINDOW trace entries falls below this
 QUANT_MAX_COLUMNS = 4096    # most candidate columns one objective call scores
+# one swap tries every one of the 2^B levels, so 2^B must fit the trace budget
+QUANT_MAX_BITS = QUANT_MAX_EVALS.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class QuantOptions:
+    """The bit depth B of "quant": a whole number in 1..QUANT_MAX_BITS."""
+
     bits: int = 3
+
+    def __post_init__(self):
+        if not isinstance(self.bits, numbers.Integral) or not 1 <= self.bits <= QUANT_MAX_BITS:
+            raise ConfigurationError(
+                f"bits must be a whole number in 1..{QUANT_MAX_BITS}, got {self.bits}")
 
 
 @dataclass

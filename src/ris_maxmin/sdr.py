@@ -49,30 +49,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PhaseVector
-from .errors import ConfigurationError
 from .phase import QuadraticFormSet
 
 _TINY = 1e-300
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedMatrix:
-    """Hermitian PSD matrix with constant diagonal, the relaxation variable."""
-
-    v: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        scale = max(self.alpha ** 2, np.abs(v).max() if v.size else 0.0)
-        if np.abs(v - v.conj().T).max() > 1e-10 * max(scale, 1.0):
-            raise ConfigurationError("lifted matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(v)
-        if eigs.min() < -1e-8 * max(scale, 1.0):
-            raise ConfigurationError(f"lifted matrix has eigenvalue {eigs.min():.3e}")
-        if np.abs(np.diagonal(v).real - self.alpha ** 2).max() > 1e-8 * max(scale, 1.0):
-            raise ConfigurationError("lifted matrix diagonal deviates from alpha^2")
-        object.__setattr__(self, "v", v)
 
 
 OUTER_ITERS = 30        # Dinkelbach level updates
@@ -98,6 +77,8 @@ class SdrResult:
     a feasible point of the relaxation (a lifted iterate, a rounded
     candidate or the incoming phase). It is a value the relaxation attains,
     not an upper bound on its optimum; ``min_sinr`` never exceeds it.
+    ``lifted`` is the (n, n) matrix V = L L^H of the best factor L, which the
+    rounding decomposes: symmetrized, PSD, alpha^2 on its diagonal (rows of L have norm alpha).
 
     Counters, summed over the call: ``inner_steps`` accepted ascent steps,
     ``backtracks`` step halvings in the line search, ``cold_restarts`` cold
@@ -109,7 +90,7 @@ class SdrResult:
     phase: PhaseVector
     min_sinr: float
     feasible_value: float
-    lifted: LiftedMatrix
+    lifted: np.ndarray
     iterations: int
     inner_steps: int
     backtracks: int
@@ -299,7 +280,6 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     u0 = init.phi_vec
     init_value = scaled.min_sinr(u0)
     lam = init_value
-    lam_best = lam
     factor_best = u0[:, None].copy()
     warning = None
     iterations = 0
@@ -327,8 +307,8 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
             early_stops += run.early_stop
         factor, ratio = best.factor, best.ratio
         any_progress = any_progress or best.improved
-        if ratio > lam_best:
-            lam_best, factor_best = ratio, factor
+        if ratio > lam:
+            factor_best = factor
         gain = (ratio - lam) / max(lam, _TINY)
         lam = max(lam, ratio)
         if gain < OUTER_TOL:
@@ -360,8 +340,8 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     return SdrResult(
         phase=phase_out,
         min_sinr=value_out,
-        feasible_value=max(lam_best, float(scores[best_idx]), init_value),
-        lifted=LiftedMatrix(v=v_best, alpha=alpha),
+        feasible_value=max(lam, float(scores[best_idx])),
+        lifted=v_best,
         iterations=iterations,
         inner_steps=inner_steps,
         backtracks=backtracks,

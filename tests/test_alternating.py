@@ -27,6 +27,19 @@ def test_rejects_unknown_method():
         alternating_optimize(SMALL, small_channel(0), "genie", np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("method, settings, message", [
+    ("lse", dict(max_sweeps=0), "max_sweeps must be >= 1, got 0"),
+    ("lse", dict(max_sweeps=2.5), "max_sweeps must be a whole number, got 2.5"),
+    ("lse", dict(tol=np.nan), "tol must be >= 0, got nan"),
+    ("lse", dict(tol=-1.0), "tol must be >= 0, got -1.0"),
+    ("quant", dict(phase_options=3), "phase_options must be None or a QuantOptions"),
+], ids=["no-sweeps", "fractional-sweeps", "nan-tol", "negative-tol", "bare-bits"])
+def test_rejects_bad_sweep_settings(method, settings, message):
+    """The library entry holds its settings to the rules a config file gets."""
+    with pytest.raises(ConfigurationError, match=message):
+        alternating_optimize(SMALL, small_channel(0), method, np.random.default_rng(0), **settings)
+
+
 def test_single_user_collapses_to_matched_filter():
     cfg = SystemConfig(m=3, n=4, k=1)
     chan = sample_channel(cfg, np.random.default_rng(5))

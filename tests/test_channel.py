@@ -62,6 +62,13 @@ def test_steering_matrix_hand_value():
     assert h[1, 0].real == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d_bs, d_ris", [(0.0, 0.5), (0.5, -0.5)])
+def test_steering_matrix_rejects_nonpositive_spacing(d_bs, d_ris):
+    angles = np.full(2, np.pi / 2)
+    with pytest.raises(ConfigurationError, match="element spacings must be positive"):
+        los_steering_matrix(angles, angles, angles, angles, d_bs=d_bs, d_ris=d_ris)
+
+
 def test_user_positions_region_and_mean(rng):
     pts = sample_channel(SystemConfig(m=1, n=1, k=100_000), rng).user_positions
     radii = np.linalg.norm(pts, axis=1)
@@ -177,6 +184,7 @@ MALFORMED_DUMPS = {
     "trailing line": lambda t: t + "0 0\n",
     "non-finite channel entry": lambda t: _with_line(t, 7, "nan 0"),
     "non-finite position": lambda t: _with_line(t, 44, "nan inf"),
+    "wrong section tag": lambda t: _with_line(t, 17, "RIS_CORR"),
 }
 
 
@@ -187,6 +195,15 @@ def test_load_channel_text_rejects_malformed_dump_naming_the_line(case):
     assert len(text.splitlines()) == 47
     with pytest.raises(ConfigurationError, match=r"line \d+"):
         load_channel_text(MALFORMED_DUMPS[case](text))
+
+
+@pytest.mark.parametrize("edit", [lambda t: "", lambda t: _without_line(t, 0),
+                                  lambda t: _with_line(t, 0, "ris-uplink-channel 2")],
+                         ids=["empty", "no header", "other header"])
+def test_load_channel_text_rejects_a_missing_header(edit):
+    text = dump_channel_text(sample_channel(SystemConfig(m=3, n=4, k=2), np.random.default_rng(5)))
+    with pytest.raises(ConfigurationError, match="bad or missing header line"):
+        load_channel_text(edit(text))
 
 
 @pytest.mark.parametrize("k, rho", [pytest.param(k, rho, id=f"{k}" if rho == 0 else f"{k}-{rho}")

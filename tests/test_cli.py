@@ -64,6 +64,14 @@ REJECTIONS = {
     "b_grid: 3, 3": "b_grid must not repeat an entry, got (3, 3)",
     "gain_bs_dbi: nan": "gain_bs_dbi must be finite", "gain_bs_dbi: 1e308": "gain_bs_dbi must be finite",
     "sar_ref: inf": "sar_ref entries must be finite", "r_max_m: inf": "r_max must be finite",
+    # a per-user list that cannot follow the k_grid point k=3
+    "sar_ref: 63e-4, 50e-4\nk_grid: 2, 3":
+        "grid point k=3, m=3, n=4: per-user arrays of length 2 cannot be rescaled to k=3",
+    "sar_ref: 1e-3, 2e-3, 3e-3": "sar_ref must be a scalar or length-2 sequence",
+    "ris_position_m: 1, 2, 3": "bad value for 'ris_position_m': expected exactly two entries, got 3",
+    "no colon here": "expected 'key: value', got 'no colon here'",
+    "trials: many": "bad value for 'trials'",
+    "bandwidth_hz: 0": "bandwidth must be positive, got 0.0",
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
                         lse_gradient_phase, optimal_beamformers,
                         sinr_per_user, sinr_phase_tangent)
 from ris_maxmin import beamforming
-from ris_maxmin.core import gain_table, noise_power
+from ris_maxmin.core import GainTable, gain_table, noise_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 
@@ -46,6 +48,21 @@ def test_config_rejects_bad_values(kwargs):
         SystemConfig(**kwargs)
 
 
+@pytest.mark.parametrize("theta, alpha, message", [
+    (np.zeros((2, 2)), 1.0, "theta must be a 1-d array"),
+    (np.zeros(3), 1.5, r"alpha must lie in \(0, 1\], got 1.5"),
+])
+def test_phase_vector_rejects_bad_values(theta, alpha, message):
+    with pytest.raises(ConfigurationError, match=message):
+        PhaseVector(theta=theta, alpha=alpha)
+
+
+@pytest.mark.parametrize("p", [[0.5, -1e-3], [[0.5, 0.5]]], ids=["negative", "2-d"])
+def test_power_allocation_rejects_bad_powers(p):
+    with pytest.raises(ConfigurationError, match="finite nonnegative watts"):
+        PowerAllocation(p=np.array(p))
+
+
 def test_phase_vector_round_trip(rng):
     phase = random_phase(rng, 8, alpha=0.7)
     assert np.allclose(np.abs(phase.phi), 1.0, atol=1e-12)
@@ -61,11 +78,16 @@ def test_beamformer_requires_unit_rows(rng):
         Beamformer(rows=np.array([[1.0, 1.0]], dtype=complex))
 
 
-def test_report_checks_minimum():
-    with pytest.raises(ConfigurationError):
+def test_report_minimum_is_derived():
+    rep = SinrReport.from_per_user(np.array([3.0, 1.5, 2.0]), stage_trace=[("bf", 1.5)])
+    assert rep.minimum == 1.5 and rep.stage_trace == (("bf", 1.5),)
+    # the minimum is no argument, so it cannot disagree with the SINRs
+    with pytest.raises(TypeError):
         SinrReport(per_user=np.array([1.0, 2.0]), minimum=2.0)
-    rep = SinrReport.from_per_user(np.array([3.0, 1.5, 2.0]))
-    assert rep.minimum == 1.5
+    moved = replace(rep, per_user=np.array([0.5, 4.0]))
+    assert moved.minimum == 0.5 and moved.stage_trace == rep.stage_trace
+    with pytest.raises(ConfigurationError, match="SINRs cannot be negative"):
+        SinrReport.from_per_user(np.array([1.0, -1e-9]))
 
 
 def test_effective_channel_identity_case():
@@ -100,6 +122,25 @@ def test_effective_channel_dimension_mismatch(rng):
     chan = synth_channel(rng, 3, 4, 2)
     with pytest.raises(ConfigurationError):
         effective_channel(chan, random_phase(rng, 5))
+
+
+@pytest.mark.parametrize("field, shape, message", [
+    ("ris_corr_sqrt", (2, 2), "ris_corr_sqrt shape"), ("h2", (2, 4), "h2 shape"),
+    ("user_positions", (3, 2), "user_positions shape"),
+])
+def test_channel_realization_rejects_shape_mismatches(field, shape, message):
+    arrays = dict(h1=np.ones((2, 3), dtype=complex), ris_corr_sqrt=np.eye(3, dtype=complex),
+                  h2=np.ones((2, 3), dtype=complex), user_positions=np.ones((2, 2)))
+    arrays[field] = np.ones(shape)
+    with pytest.raises(ConfigurationError, match=message):
+        ChannelRealization(**arrays)
+
+
+@pytest.mark.parametrize("f, n", [(np.ones((2, 3)), np.ones(2)), (np.ones((2, 2)), np.ones(3))],
+                         ids=["f not square", "n too long"])
+def test_gain_table_rejects_inconsistent_shapes(f, n):
+    with pytest.raises(ConfigurationError, match="gain table shapes inconsistent"):
+        GainTable(f=f, n=n)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,16 @@ def test_b_grid_bound_follows_the_quant_budget():
     # one swap tries all 2^B levels, so 2^B must fit QUANT_MAX_EVALS = 200,000
     _, plan = parse_config_text(MINIMAL + "b_grid: 1, 17\n")
     assert plan.b_grid == (1, 17)
+    with pytest.raises(ConfigurationError, match="b_grid entries must lie in 1..17 and be whole"):
+        ExperimentPlan(trials=1, seed=1, k_grid=(2,), m_grid=(3,), n_grid=(4,), b_grid=(2.5,))
+
+
+def test_a_plan_built_in_code_gets_the_sweep_checks():
+    grid = dict(k_grid=(2,), m_grid=(3,), n_grid=(4,))
+    with pytest.raises(ConfigurationError, match="max_sweeps must be a whole number, got 2.5"):
+        ExperimentPlan(trials=1, seed=1, max_sweeps=2.5, **grid)
+    with pytest.raises(ConfigurationError, match="tol must be >= 0, got nan"):
+        ExperimentPlan(trials=1, seed=1, tol=float("nan"), **grid)
 
 
 def test_round_trip(tmp_path):
@@ -219,12 +230,17 @@ def test_worker_pool_preserves_output(tmp_path):
     assert strip_times(serial) == strip_times(parallel)
 
 
-def test_scaled_config_rejects_mismatched_arrays():
-    text = SMALL_PLAN + "sar_ref: 1e-3, 2e-3\nk_grid: 2, 3\n"
-    text = text.replace("k_grid: 2\n", "")
+def test_scaled_config_rejects_mismatched_arrays(tmp_path):
+    """Per-user lists that cannot follow a k_grid point fail the parse, and a
+    plan built in code fails the run before the CSV is opened."""
+    text = SMALL_PLAN + "sar_ref: 1e-3, 2e-3\n"
+    with pytest.raises(ConfigurationError, match="grid point k=3, m=3, n=4: per-user"):
+        parse_config_text(text.replace("k_grid: 2\n", "k_grid: 2, 3\n"))
     config, plan = parse_config_text(text)
-    with pytest.raises(ConfigurationError, match="per-user"):
-        run_experiment(config, plan, out_path=None, workers=1)
+    out = tmp_path / "results.csv"
+    with pytest.raises(ConfigurationError, match="grid point k=3, m=3, n=4: per-user"):
+        run_experiment(config, replace(plan, k_grid=(2, 3)), out_path=out, workers=1)
+    assert not out.exists()
 
 
 def test_streamed_csv_is_the_records_text(tmp_path):

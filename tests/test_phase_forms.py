@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import (DomainError, build_quadratic_forms, effective_channel,
-                        sinr_per_user)
+from ris_maxmin import (ConfigurationError, DomainError, build_quadratic_forms,
+                        effective_channel, sinr_per_user)
 from ris_maxmin.phase import QuadraticFormSet, lse_objective
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
@@ -79,6 +79,19 @@ def test_sinr_batch_keeps_a_high_sinr_users_interference(rng):
                 assert 1e8 < expected < 1e11
                 assert abs(batch[i, c] - expected) <= 1e-12 * expected
                 assert abs(single[i] - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("pair_shape, noise_shape, powers_shape, message", [
+    ((2, 4), (2,), (2,), r"pair_vectors must be \(k, k, n\)"),
+    ((2, 3, 4), (2,), (2,), r"pair_vectors must be \(k, k, n\)"),
+    ((2, 2, 4), (3,), (2,), r"noise \(3,\) and powers \(2,\) must be \(2,\)"),
+    ((2, 2, 4), (2,), (2, 1), r"noise \(2,\) and powers \(2, 1\) must be \(2,\)"),
+], ids=["2-d pairs", "non-square pairs", "long noise", "2-d powers"])
+def test_quadratic_form_set_rejects_inconsistent_shapes(pair_shape, noise_shape, powers_shape,
+                                                        message):
+    with pytest.raises(ConfigurationError, match=message):
+        QuadraticFormSet(pair_vectors=np.ones(pair_shape, dtype=complex),
+                         noise=np.ones(noise_shape), powers=np.ones(powers_shape))
 
 
 def test_lifted_matches_rank_one(rng):

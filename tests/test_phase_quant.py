@@ -25,6 +25,19 @@ def test_phase_grid_values():
     assert np.allclose(phase_grid(2), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
+@pytest.mark.parametrize("bits", [0, 2.5, 18, 40])
+def test_bit_depth_is_a_whole_number_within_the_budget(bits):
+    # one swap tries all 2^B levels, so B <= 17 keeps them within QUANT_MAX_EVALS
+    with pytest.raises(ConfigurationError, match="bits must be a whole number in 1..17"):
+        QuantOptions(bits=bits)
+
+
+@pytest.mark.parametrize("bits", [0, -1, 2.5])
+def test_phase_grid_rejects_a_bad_depth(bits):
+    with pytest.raises(ConfigurationError, match="bits must be a whole number >= 1"):
+        phase_grid(bits)
+
+
 def test_grid_init_is_coupled_across_depths(rng):
     u = rng.random(6)
     coarse = grid_phase_from_uniform(u, 1, 1.0)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from ris_maxmin import (ConfigurationError, SystemConfig, build_quadratic_forms,
-                        sample_channel, sdr_dinkelbach_phase)
+from ris_maxmin import (SystemConfig, build_quadratic_forms, sample_channel,
+                        sdr_dinkelbach_phase)
 from ris_maxmin import sdr
 from ris_maxmin.phase import QuadraticFormSet
-from ris_maxmin.sdr import INNER_ITERS, STEP_TRIES, LiftedMatrix, _LevelModel
+from ris_maxmin.sdr import INNER_ITERS, STEP_TRIES, _LevelModel
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 from oracles import serial_inner_ascent
@@ -23,16 +23,6 @@ def grid_optimum(forms, alpha, points=720):
     th1, th2 = np.meshgrid(g, g, indexing="ij")
     u = alpha * np.exp(1j * np.stack([th1.ravel(), th2.ravel()]))
     return forms.sinr_batch(u).min(axis=0).max()
-
-
-def test_lifted_matrix_validation():
-    good = np.eye(3, dtype=complex)
-    LiftedMatrix(v=good, alpha=1.0)
-    with pytest.raises(ConfigurationError):
-        LiftedMatrix(v=np.diag([1.0, 2.0, 1.0]).astype(complex), alpha=1.0)
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
-    with pytest.raises(ConfigurationError):
-        LiftedMatrix(v=bad, alpha=1.0)  # indefinite
 
 
 def test_single_element_returns_input(rng):
@@ -56,7 +46,9 @@ def test_never_worse_than_init_and_bounded_by_relaxation(rng):
 def test_lifted_output_satisfies_invariants(rng):
     forms = build_forms(rng, 3, 5, 3)
     out = sdr_dinkelbach_phase(forms, 0.8, random_phase(rng, 5, alpha=0.8), rng)
-    v = out.lifted.v
+    v = out.lifted
+    assert v.shape == (5, 5) and v.dtype == complex
+    assert np.array_equal(v, v.conj().T)
     assert np.abs(np.diagonal(v).real - 0.64).max() < 1e-8
     assert np.linalg.eigvalsh(v).min() > -1e-8
 
@@ -194,7 +186,7 @@ def test_sdr_phase_matches_the_serial_line_search_field_by_field(monkeypatch):
             runs.append((sdr_dinkelbach_phase(forms, 1.0, init, rng), rng.random()))
         (ours, ours_next), (ref, ref_next) = runs
         assert np.array_equal(ours.phase.theta, ref.phase.theta)
-        assert np.array_equal(ours.lifted.v, ref.lifted.v)
+        assert np.array_equal(ours.lifted, ref.lifted)
         for name in ("min_sinr", "feasible_value", "iterations", "inner_steps", "backtracks",
                      "cold_restarts", "early_stops", "warning"):
             assert getattr(ours, name) == getattr(ref, name), name
@@ -213,6 +205,7 @@ def test_inner_ascents_stop_on_evidence():
     assert out.inner_steps < INNER_ITERS * ascents
     assert out.min_sinr >= before - 1e-12
     assert out.min_sinr <= out.feasible_value + 1e-6
-    v = out.lifted.v
+    v = out.lifted
+    assert np.array_equal(v, v.conj().T)
     assert np.abs(np.diagonal(v).real - 0.81).max() < 1e-8
     assert np.linalg.eigvalsh(v).min() > -1e-8

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_maxmin import (ConfigurationError, DomainError, GainTable, PhaseVector,
-                        SystemConfig, effective_channel, effective_power_cap,
-                        max_min_power, sample_channel)
+from ris_maxmin import (ConfigurationError, DomainError, GainTable, NumericError,
+                        PhaseVector, SystemConfig, effective_channel,
+                        effective_power_cap, max_min_power, sample_channel)
 from ris_maxmin import power
 from ris_maxmin.beamforming import post_bf_sinr_values
 from ris_maxmin.power import gain_table, mmse_max_min_power
@@ -405,3 +405,14 @@ def test_max_min_power_rejects_bad_caps_before_solving(monkeypatch, cap, rng):
     with pytest.raises(ConfigurationError):
         max_min_power(gains, np.array(cap))
     assert solves == []
+
+
+@pytest.mark.parametrize("entry", ["gain", "noise"])
+def test_max_min_power_rejects_a_non_finite_gain_table(entry):
+    f, n = np.array([[1.0, 0.2], [0.1, 1.0]]), np.array([0.1, 0.1])
+    if entry == "gain":
+        f[0, 1] = np.inf
+    else:
+        n[1] = np.inf
+    with pytest.raises(NumericError, match="gain table contains non-finite entries"):
+        max_min_power(GainTable(f=f, n=n), np.array([1.0, 1.0]))
