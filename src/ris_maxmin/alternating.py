@@ -20,16 +20,14 @@ fixed-power objective directly and propose new phases alone.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beamforming import optimal_beamformers
-from .core import (Beamformer, ChannelRealization, PhaseVector,
-                   PowerAllocation, SinrReport, SystemConfig, gain_table,
-                   sinr_per_user)
+from .core import (Beamformer, ChannelRealization, PhaseVector, PowerAllocation,
+                   SinrReport, SystemConfig, _check_count, gain_table, sinr_per_user)
 from .errors import ConfigurationError, NumericError
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
@@ -84,10 +82,7 @@ def _phase_proposal(method, config, chan, phase, power, bf, p_cap, rng, phase_op
 def _check_sweep_settings(tol, max_sweeps, phase_options=None) -> None:
     """ConfigurationError unless ``max_sweeps`` is a whole number >= 1,
     ``tol`` >= 0 (nan fails) and ``phase_options`` is None or a QuantOptions."""
-    if not isinstance(max_sweeps, numbers.Integral):
-        raise ConfigurationError(f"max_sweeps must be a whole number, got {max_sweeps}")
-    if max_sweeps < 1:
-        raise ConfigurationError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _check_count("max_sweeps", max_sweeps)
     if not tol >= 0.0:
         raise ConfigurationError(f"tol must be >= 0, got {tol}")
     if not (phase_options is None or isinstance(phase_options, QuantOptions)):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import dump_channel_text
 from .errors import ConfigurationError, DomainError, NumericError
-from .harness import load_config, run_experiment, trial_channel
+from .harness import _grid_scenarios, load_config, run_experiment, trial_channel
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, plan = load_config(args.config)
-    grid = len(plan.k_grid) * len(plan.m_grid) * len(plan.n_grid)
+    grid = len(_grid_scenarios(config, plan))
     print(f"OK: m={config.m} n={config.n} k={config.k}, sigma2={config.sigma2:.6g} W, "
           f"{len(plan.methods)} methods, {grid} grid points, {plan.trials} trials")
     return 0
@@ -71,7 +71,7 @@ def _cmd_dump_channel(args) -> int:
     config, plan = load_config(args.config)
     if args.seed is not None:
         plan = replace(plan, seed=args.seed)
-    _, _, chan, _ = trial_channel(config, plan, 0, 0)
+    _, _, chan, _ = trial_channel(_grid_scenarios(config, plan)[0], plan, 0, 0)
     text = dump_channel_text(chan)
     if args.out is None:
         sys.stdout.write(text)

@@ -12,6 +12,7 @@ safe to share across threads.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,8 @@ def noise_power(bandwidth_hz: float) -> float:
     """Thermal noise power in watts: -174 dBm/Hz plus 10*log10(bandwidth)."""
     if bandwidth_hz <= 0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth_hz}")
+    if not bandwidth_hz < np.inf:
+        raise DomainError(f"bandwidth must be finite, got {bandwidth_hz}")
     dbm = -174.0 + 10.0 * np.log10(bandwidth_hz)
     return float(10.0 ** (dbm / 10.0) * 1e-3)
 
@@ -47,6 +50,19 @@ def _check_sigma2(sigma2) -> None:
     finite, the rule SystemConfig holds its own sigma2 to."""
     if not 0.0 < sigma2 < np.inf:
         raise ConfigurationError(f"sigma2 must be finite and positive, got {sigma2}")
+
+
+def _check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int; ConfigurationError naming ``name`` unless it is a
+    whole number of at least ``low`` and, when ``high`` is set, at most
+    ``high``. Every count and bit depth the library takes is held to it."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    if high is None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ConfigurationError(f"{name} must lie in {low}..{high}, got {value}")
+    return int(value)
 
 
 def _as_float_array(value, k: int, name: str) -> np.ndarray:
@@ -92,9 +108,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "k"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.sigma2 is None:
             object.__setattr__(self, "sigma2", noise_power(self.bandwidth_hz))
         object.__setattr__(self, "ris_position", (float(self.ris_position[0]), float(self.ris_position[1])))

@@ -7,12 +7,15 @@ every parse or range error names the offending key and line. Within one
 trial every method consumes the same channel realization (paired
 comparison); per-trial seeds are derived from the base seed and the
 grid/trial indices, so reruns of the same config produce byte-identical
-CSVs apart from the wall-time column.
+CSVs apart from the wall-time column. A run builds one scenario
+(SystemConfig) per grid point, once, before its first trial, and every
+trial at that point runs on it.
 """
 
 import csv
 import hashlib
 import io
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -23,7 +26,7 @@ import numpy as np
 from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
                           _check_sweep_settings, alternating_optimize)
 from .channel import dump_channel_text, sample_channel
-from .core import SystemConfig, db10
+from .core import SystemConfig, _check_count, db10
 from .errors import ConfigurationError
 from .phase import QUANT_MAX_BITS, QuantOptions
 
@@ -43,8 +46,7 @@ class ExperimentPlan:
     max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _check_count("trials", self.trials))
         _check_sweep_settings(self.tol, self.max_sweeps)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
@@ -56,15 +58,10 @@ class ExperimentPlan:
             # a repeated method or depth would rerun one draw on one rng stream
             if key in ("methods", "b_grid") and len(set(values)) < len(values):
                 raise ConfigurationError(f"{key} must not repeat an entry, got {values}")
-            if key in ("k_grid", "m_grid", "n_grid") and any(v < 1 for v in values):
-                raise ConfigurationError(f"{key} entries must be >= 1, got {values}")
-        try:
-            for bits in self.b_grid:
-                QuantOptions(bits=bits)
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"b_grid entries must lie in 1..{QUANT_MAX_BITS} and be whole numbers, so that one "
-                f"swap's 2^B levels fit the quant budget; got {self.b_grid}") from exc
+            if key != "methods":
+                high = QUANT_MAX_BITS if key == "b_grid" else None
+                object.__setattr__(self, key, tuple(_check_count(f"{key} entries", v, high=high)
+                                                    for v in values))
 
 
 def _list_of(item):
@@ -158,7 +155,7 @@ def parse_config_text(text: str):
     plan_kwargs.setdefault("m_grid", (config.m,))
     plan_kwargs.setdefault("n_grid", (config.n,))
     plan = ExperimentPlan(**plan_kwargs)
-    _check_grid(config, plan)
+    _grid_scenarios(config, plan)
     return config, plan
 
 
@@ -229,9 +226,12 @@ def derive_trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
     return mixed & (2 ** 63 - 1)
 
 
-def _scaled_config(base: SystemConfig, k: int, m: int, n: int) -> SystemConfig:
-    def rebroadcast(arr):
-        arr = np.asarray(arr, dtype=float)
+def _grid_scenarios(base: SystemConfig, plan: ExperimentPlan) -> list:
+    """The scenario of every grid point, in plan order (k, then m, then n):
+    ``base`` at that point's dimensions, with a per-user array that holds one
+    value repeated rebroadcast to its k. ConfigurationError names the first
+    point whose scenario cannot be built."""
+    def rebroadcast(arr, k):
         if arr.shape == (k,):
             return arr
         if np.all(arr == arr.flat[0]):
@@ -239,17 +239,14 @@ def _scaled_config(base: SystemConfig, k: int, m: int, n: int) -> SystemConfig:
         raise ConfigurationError(
             f"per-user arrays of length {arr.size} cannot be rescaled to k={k}")
 
-    return replace(base, k=k, m=m, n=n,
-                   sar_ref=rebroadcast(base.sar_ref), emf_max=rebroadcast(base.emf_max))
-
-
-def _check_grid(base: SystemConfig, plan: ExperimentPlan) -> None:
-    """ConfigurationError naming the first grid point whose scenario cannot be built."""
-    for k, m, n in _grid_points(plan):
+    scenarios = []
+    for k, m, n in itertools.product(plan.k_grid, plan.m_grid, plan.n_grid):
         try:
-            _scaled_config(base, k, m, n)
+            scenarios.append(replace(base, k=k, m=m, n=n, sar_ref=rebroadcast(base.sar_ref, k),
+                                     emf_max=rebroadcast(base.emf_max, k)))
         except ConfigurationError as exc:
             raise ConfigurationError(f"grid point k={k}, m={m}, n={n}: {exc}") from exc
+    return scenarios
 
 
 def _channel_hash(chan) -> str:
@@ -268,37 +265,32 @@ def _method_runs(plan: ExperimentPlan):
     return runs
 
 
-def _grid_points(plan: ExperimentPlan) -> list:
-    return [(k, m, n) for k in plan.k_grid for m in plan.m_grid for n in plan.n_grid]
-
-
-def trial_channel(base_config: SystemConfig, plan: ExperimentPlan, grid_index: int,
+def trial_channel(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
                   trial_index: int):
-    """The draw of trial ``trial_index`` at grid point ``grid_index``.
+    """The draw of trial ``trial_index`` at grid point ``grid_index``, whose
+    scenario is ``scenario`` (for a one-point plan, the base config).
 
-    Returns the grid point's config, the trial seed, the channel that every
-    method of the trial shares, and one seed sequence per planned method.
+    Returns the scenario, the trial seed, the channel that every method of
+    the trial shares, and one seed sequence per planned method.
     """
-    config = _scaled_config(base_config, *_grid_points(plan)[grid_index])
     trial_seed = derive_trial_seed(plan.seed, grid_index, trial_index)
     children = np.random.SeedSequence(trial_seed).spawn(1 + len(plan.methods))
-    chan = sample_channel(config, np.random.default_rng(children[0]))
-    return config, trial_seed, chan, dict(zip(plan.methods, children[1:]))
+    chan = sample_channel(scenario, np.random.default_rng(children[0]))
+    return scenario, trial_seed, chan, dict(zip(plan.methods, children[1:]))
 
 
-def run_trial(base_config: SystemConfig, plan: ExperimentPlan, grid_index: int,
+def run_trial(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
               trial_index: int) -> list:
     """Run every planned method on one shared channel draw; returns records."""
-    config, trial_seed, chan, method_stream = trial_channel(base_config, plan, grid_index,
-                                                            trial_index)
+    _, trial_seed, chan, method_stream = trial_channel(scenario, plan, grid_index, trial_index)
     chash = _channel_hash(chan)
     records = []
     for method, bits in _method_runs(plan):
         rng = np.random.default_rng(method_stream[method])
         solution = alternating_optimize(
-            config, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
+            scenario, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
             phase_options=None if bits is None else QuantOptions(bits=bits))
-        records.append(_record_from_solution(solution, trial_seed, config, method, bits, chash))
+        records.append(_record_from_solution(solution, trial_seed, scenario, method, bits, chash))
     return records
 
 
@@ -334,9 +326,8 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     that raises partway leaves the rows of every trial before the failing
     one. Returns the records.
     """
-    _check_grid(config, plan)
-    tasks = [(config, plan, gi, ti)
-             for gi in range(len(_grid_points(plan))) for ti in range(plan.trials)]
+    tasks = [(scenario, plan, gi, ti) for gi, scenario in enumerate(_grid_scenarios(config, plan))
+             for ti in range(plan.trials)]
 
     records = []
     with ExitStack() as stack:

@@ -37,14 +37,13 @@ slope at the best phase so far predicts where each candidate's power step
 starts.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
-                   _bf_matrix, _check_sigma2, _power_array, effective_channel)
+                   _bf_matrix, _check_count, _check_sigma2, _power_array, effective_channel)
 from .errors import ConfigurationError, DomainError
 from .power import _balance_system, mmse_max_min_power
 
@@ -342,10 +341,9 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
 
 
 def phase_grid(bits: int) -> np.ndarray:
-    """The 2^bits equispaced angles 2*pi*i/2^bits, i = 0..2^bits-1."""
-    if not isinstance(bits, numbers.Integral) or bits < 1:
-        raise ConfigurationError(f"bits must be a whole number >= 1, got {bits}")
-    q = 2 ** bits
+    """The 2^bits equispaced angles 2*pi*i/2^bits, i = 0..2^bits-1, for a
+    whole ``bits`` in 1..QUANT_MAX_BITS."""
+    q = 2 ** _check_count("bits", bits, high=QUANT_MAX_BITS)
     return TWO_PI * np.arange(q) / q
 
 
@@ -373,9 +371,7 @@ class QuantOptions:
     bits: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.bits, numbers.Integral) or not 1 <= self.bits <= QUANT_MAX_BITS:
-            raise ConfigurationError(
-                f"bits must be a whole number in 1..{QUANT_MAX_BITS}, got {self.bits}")
+        _check_count("bits", self.bits, high=QUANT_MAX_BITS)
 
 
 @dataclass

@@ -50,8 +50,9 @@ REJECTIONS = {
     "tol: -1": "tol must be >= 0", "tol: nan": "tol must be >= 0",
     "k_grid: 0": "k_grid entries must be >= 1", "m_grid: 0": "m_grid entries must be >= 1",
     "n_grid: 0": "n_grid entries must be >= 1",
-    "b_grid: 0": "b_grid entries must lie in 1..17", "b_grid: 18": "b_grid entries must lie in 1..17",
-    "b_grid: 40": "b_grid entries must lie in 1..17",
+    "b_grid: 0": "b_grid entries must lie in 1..17, got 0",
+    "b_grid: 18": "b_grid entries must lie in 1..17, got 18",
+    "b_grid: 40": "b_grid entries must lie in 1..17, got 40",
     "quant_window: 0": "unknown key 'quant_window'",
     "quant_epsilon: 0": "unknown key 'quant_epsilon'", "n_rand: -1": "unknown key 'n_rand'",
     "kappa: -1": "kappa must be finite and >= 0, got -1",
@@ -71,7 +72,10 @@ REJECTIONS = {
     "ris_position_m: 1, 2, 3": "bad value for 'ris_position_m': expected exactly two entries, got 3",
     "no colon here": "expected 'key: value', got 'no colon here'",
     "trials: many": "bad value for 'trials'",
+    "m: 12.7": "bad value for 'm'", "k_grid: 2.5": "bad value for 'k_grid'",
     "bandwidth_hz: 0": "bandwidth must be positive, got 0.0",
+    "bandwidth_hz: nan": "bandwidth must be finite, got nan",
+    "bandwidth_hz: inf": "bandwidth must be finite, got inf",
 }
 
 

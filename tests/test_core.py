@@ -42,6 +42,8 @@ def test_config_defaults_and_noise():
     dict(m=1, n=1, k=1, d_ris=-0.5),
     dict(m=1, n=1, k=1, ris_position=(0.0, 0.0)),
     dict(m=1, n=1, k=1, r_min=-5.0),
+    dict(m=12.7, n=1, k=1),
+    dict(m="12", n=1, k=1),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigurationError):

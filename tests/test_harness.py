@@ -108,20 +108,28 @@ def test_bad_method_rejected():
     (dict(), "k_grid"),
     (dict(methods=(), k_grid=(2,), m_grid=(3,), n_grid=(4,)), "methods"),
     (dict(k_grid=(2,), m_grid=(3,), n_grid=(4,), b_grid=()), "b_grid"),
+    (dict(trials=1.5, k_grid=(2,), m_grid=(3,), n_grid=(4,)), "trials"),
+    (dict(k_grid=(2.5,), m_grid=(3,), n_grid=(4,)), "k_grid entries"),
 ])
 def test_an_empty_plan_is_rejected(kwargs, key):
     """A plan built in code with an empty method list or grid would run
-    nothing and return no rows; it is rejected, naming the key."""
-    with pytest.raises(ConfigurationError, match=f"{key} must not be empty"):
-        ExperimentPlan(trials=2, seed=1, **kwargs)
+    nothing and return no rows, and a fractional trial count or grid entry
+    would fail mid-run or run another scenario than its CSV names; each is
+    rejected, naming the key."""
+    rule = "must be a whole number" if key in ("trials", "k_grid entries") else "must not be empty"
+    with pytest.raises(ConfigurationError, match=f"{key} {rule}"):
+        ExperimentPlan(**{"trials": 2, "seed": 1, **kwargs})
 
 
 def test_b_grid_bound_follows_the_quant_budget():
     # one swap tries all 2^B levels, so 2^B must fit QUANT_MAX_EVALS = 200,000
     _, plan = parse_config_text(MINIMAL + "b_grid: 1, 17\n")
     assert plan.b_grid == (1, 17)
-    with pytest.raises(ConfigurationError, match="b_grid entries must lie in 1..17 and be whole"):
-        ExperimentPlan(trials=1, seed=1, k_grid=(2,), m_grid=(3,), n_grid=(4,), b_grid=(2.5,))
+    grid = dict(k_grid=(2,), m_grid=(3,), n_grid=(4,))
+    with pytest.raises(ConfigurationError, match="b_grid entries must lie in 1..17, got 18"):
+        ExperimentPlan(trials=1, seed=1, b_grid=(18,), **grid)
+    with pytest.raises(ConfigurationError, match="b_grid entries must be a whole number, got 2.5"):
+        ExperimentPlan(trials=1, seed=1, b_grid=(2.5,), **grid)
 
 
 def test_a_plan_built_in_code_gets_the_sweep_checks():
@@ -162,6 +170,12 @@ def test_readme_lists_the_public_api():
     section = readme[readme.index("## Public API"):]
     documented = set(re.findall(r"`([A-Za-z_]+)`", section))
     assert documented == set(ris_maxmin.__all__) - {"__version__"}
+
+
+def test_readme_config_table_lists_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config format"):readme.index("### Output CSV")]
+    assert re.findall(r"^\| `([a-z_0-9]+)` \|", section, re.M) == list(CONFIG_KEYS)
 
 
 def test_trial_seed_mixing_is_stable_and_distinct():

@@ -25,17 +25,25 @@ def test_phase_grid_values():
     assert np.allclose(phase_grid(2), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
+# one swap tries all 2^B levels, so B <= 17 keeps them within QUANT_MAX_EVALS
+DEPTH_ERRORS = {0: "bits must lie in 1..17, got 0", -1: "bits must lie in 1..17, got -1",
+                2.5: "bits must be a whole number, got 2.5", 18: "bits must lie in 1..17, got 18",
+                40: "bits must lie in 1..17, got 40"}
+
+
 @pytest.mark.parametrize("bits", [0, 2.5, 18, 40])
 def test_bit_depth_is_a_whole_number_within_the_budget(bits):
-    # one swap tries all 2^B levels, so B <= 17 keeps them within QUANT_MAX_EVALS
-    with pytest.raises(ConfigurationError, match="bits must be a whole number in 1..17"):
+    with pytest.raises(ConfigurationError, match=DEPTH_ERRORS[bits]):
         QuantOptions(bits=bits)
 
 
-@pytest.mark.parametrize("bits", [0, -1, 2.5])
+@pytest.mark.parametrize("bits", [0, -1, 2.5, 18, 40])
 def test_phase_grid_rejects_a_bad_depth(bits):
-    with pytest.raises(ConfigurationError, match="bits must be a whole number >= 1"):
+    # a depth of 40 would ask for a 2^40-entry grid
+    with pytest.raises(ConfigurationError, match=DEPTH_ERRORS[bits]):
         phase_grid(bits)
+    with pytest.raises(ConfigurationError, match=DEPTH_ERRORS[bits]):
+        grid_phase_from_uniform(np.full(3, 0.5), bits, 1.0)
 
 
 def test_grid_init_is_coupled_across_depths(rng):
