@@ -28,17 +28,17 @@ code reports a matrix that is not positive definite (NumericError), such
 as one made by a negative power. It trusts the powers and sigma2 otherwise.
 sigma2 has one rule, 0 < sigma2 < inf (core._check_sigma2, the rule of
 SystemConfig too), checked at entry to every public function that takes it:
-optimal_beamformers, core.sinr_per_user, phase.build_quadratic_forms,
-phase.sinr_phase_tangent, phase.lse_gradient_phase and
-power.mmse_max_min_power, which also checks the caps and its start powers
-once, all before the first factorization.
+optimal_beamformers, core.gain_table (and so core.sinr_per_user),
+phase.build_quadratic_forms, phase.sinr_phase_tangent,
+phase.lse_gradient_phase and power.mmse_max_min_power, which also checks
+the caps and its start powers once, all before the first factorization.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .core import (Beamformer, ChannelRealization, PhaseVector, _check_sigma2,
-                   _power_array, effective_channel)
+                   _power_array, _trusted, effective_channel)
 from .errors import NumericError
 
 # slack 1/(1+SINR) below which Sherman-Morrison has lost too many digits:
@@ -137,7 +137,8 @@ def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
     """Per-user SINR-maximizing unit-norm receive combiners.
 
     A user with a zero effective channel gets the first standard basis
-    vector; every other row is (S_k + sigma2*I)^{-1} g_k normalized.
+    vector; every other row is (S_k + sigma2*I)^{-1} g_k normalized, so the
+    Beamformer is built without re-scanning the norms of its rows.
     """
     _check_sigma2(sigma2)
     p = _power_array(powers)
@@ -147,4 +148,4 @@ def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
     zero = np.linalg.norm(g, axis=0) == 0.0
     rows[zero, 0] = 1.0
     norms[zero] = 1.0
-    return Beamformer(rows=rows / norms[:, None])
+    return _trusted(Beamformer, rows=rows / norms[:, None])

@@ -9,6 +9,21 @@ All powers are stored in watts and all SINRs in linear scale; dBm/dB
 conversions happen only at the CLI/CSV boundary. Every type here is an
 immutable value object and every operation is a pure function, so they are
 safe to share across threads.
+
+Who checks what: the public constructors (PowerAllocation, Beamformer,
+GainTable, phase.QuadraticFormSet, ...) check every value a caller hands
+them. A value the library has just computed in the checked form is built
+by _trusted instead, which skips those checks; a class with derived fields
+(GainTable.cross, QuadraticFormSet.pair_conj and split) forms them in one
+_derive that both paths run. The trusted values: the unit-norm rows of
+beamforming.optimal_beamformers, the max-min powers of
+power.mmse_max_min_power, a gain table of a Beamformer (gain_table skips
+the gain scan, since unit rows make every noise term sigma2 > 0 and
+|b^H g|^2 is never negative), the forms of phase.build_quadratic_forms
+and sdr's rescaled copy of them. gain_table and build_quadratic_forms
+still check sigma2 and the shapes of the combiners and powers they are
+given; raw combiner rows still go through GainTable's scan, so a zero row
+is rejected.
 """
 
 import math
@@ -55,8 +70,9 @@ def _check_sigma2(sigma2) -> None:
 def _check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     """``value`` as an int; ConfigurationError naming ``name`` unless it is a
     whole number of at least ``low`` and, when ``high`` is set, at most
-    ``high``. Every count and bit depth the library takes is held to it."""
-    if not isinstance(value, numbers.Integral):
+    ``high``. Every count and bit depth the library takes is held to it; a
+    bool is a truth value, not a count, and is rejected too."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
     if high is None and value < low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value}")
@@ -257,12 +273,17 @@ class PowerAllocation:
         return self.p.shape[0]
 
 
-def _unchecked_powers(p: np.ndarray) -> PowerAllocation:
-    """A PowerAllocation of the (k,) float array ``p``, which the caller
-    guarantees finite and nonnegative, built without the check."""
-    power = object.__new__(PowerAllocation)
-    object.__setattr__(power, "p", p)
-    return power
+def _trusted(cls, **values):
+    """A ``cls`` value object holding ``values`` as given, built without the
+    checks of its constructor: for values the library has just computed in
+    the form those checks would leave them. A class with derived fields
+    forms them in its ``_derive``, which its checked constructor calls too."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    if hasattr(cls, "_derive"):
+        obj._derive()
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,10 +368,14 @@ class GainTable:
             raise ConfigurationError(f"gain table shapes inconsistent: f {f.shape}, n {n.shape}")
         if np.any(f < 0) or np.any(n <= 0):
             raise ConfigurationError("gains must be nonnegative and noise terms positive")
-        cross = f.copy()
-        cross.flat[::f.shape[1] + 1] = 0.0
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "n", n)
+        self._derive()
+
+    def _derive(self):
+        """Form ``cross``; the checked constructor and _trusted both call it."""
+        cross = self.f.copy()
+        cross.flat[::self.f.shape[1] + 1] = 0.0
         object.__setattr__(self, "cross", cross)
 
     @property
@@ -367,10 +392,23 @@ class GainTable:
 
 
 def gain_table(chan: ChannelRealization, phase: PhaseVector, bf, sigma2: float) -> GainTable:
-    """The gain table of fixed combiners ``bf`` at the phases ``phase``."""
+    """The gain table of fixed combiners ``bf`` at the phases ``phase``.
+
+    Raw (k, m) combiner rows go through GainTable's checks, so a zero row,
+    which has no noise term, is rejected. A Beamformer skips that scan:
+    its unit rows make every noise term sigma2 > 0, and a gain |b^H g|^2 is
+    never negative.
+    """
+    _check_sigma2(sigma2)
     rows = _bf_matrix(bf)
+    if rows.shape != (chan.k, chan.m):
+        raise ConfigurationError(f"combiners must be ({chan.k}, {chan.m}) for this channel, got {rows.shape}")
     g = effective_channel(chan, phase)
-    return GainTable(f=np.abs(rows.conj() @ g) ** 2, n=sigma2 * np.sum(np.abs(rows) ** 2, axis=1))
+    f = np.abs(rows.conj() @ g) ** 2
+    n = sigma2 * np.sum(np.abs(rows) ** 2, axis=1)
+    if isinstance(bf, Beamformer):
+        return _trusted(GainTable, f=f, n=n)
+    return GainTable(f=f, n=n)
 
 
 def sinr_per_user(chan: ChannelRealization, phase: PhaseVector, powers, bf,
@@ -381,6 +419,6 @@ def sinr_per_user(chan: ChannelRealization, phase: PhaseVector, powers, bf,
     j != i plus sigma2 * ||b_i||^2 (GainTable.sinr). The noise term uses the
     actual combiner norm, so un-normalized probe combiners are handled
     correctly; a zero combiner row has no noise term and is rejected.
+    gain_table checks sigma2 and the combiners.
     """
-    _check_sigma2(sigma2)
     return SinrReport.from_per_user(gain_table(chan, phase, bf, sigma2).sinr(_power_array(powers)))

@@ -17,7 +17,6 @@ import hashlib
 import io
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -336,6 +335,10 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
             handle = stack.enter_context(open(out_path, "w", encoding="utf-8", newline=""))
             handle.write(records_to_csv_text([]))
         if workers > 1:
+            # deferred: the pool's modules (multiprocessing among them) cost
+            # import time and memory that a serial run does not need
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             batches = pool.map(_run_trial_task, tasks, chunksize=1)
         else:

@@ -22,7 +22,8 @@ move the last bits of the loop's guard, which break ties at k=2.
 sinr_batch and min_sinr take one (n,) vector or an (n, c) matrix of
 candidates, one per column. The ``quant`` objective is min_sinr on such
 a matrix: quantized_heuristic_phase scores all of a picked element's
-other grid levels in one call and replays its accept rule over them.
+other grid levels in one call and replays its accept rule over them when
+one of them passes it.
 
 MMSE combiners (the ``lse`` steps): each candidate's effective channels go
 through beamforming.post_bf_sinr_values, whose one factorization also
@@ -43,7 +44,8 @@ import numpy as np
 
 from .beamforming import post_bf_sinr_values
 from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
-                   _bf_matrix, _check_count, _check_sigma2, _power_array, effective_channel)
+                   _bf_matrix, _check_count, _check_sigma2, _power_array, _trusted,
+                   effective_channel)
 from .errors import ConfigurationError, DomainError
 from .power import _balance_system, mmse_max_min_power
 
@@ -79,12 +81,19 @@ class QuadraticFormSet:
         powers = np.asarray(self.powers, dtype=float)
         if noise.shape != (k,) or powers.shape != (k,):
             raise ConfigurationError(f"noise {noise.shape} and powers {powers.shape} must be ({k},)")
-        user, source = np.divmod(np.arange(k * k), k)
-        split = np.zeros((k * k, 2 * k))
-        split[np.arange(k * k), np.where(user == source, user, k + user)] = powers[source]
         object.__setattr__(self, "pair_vectors", pv)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "powers", powers)
+        self._derive()
+
+    def _derive(self):
+        """Form ``pair_conj`` and ``split``; the checked constructor and
+        core._trusted both call it."""
+        pv = self.pair_vectors
+        k = pv.shape[0]
+        user, source = np.divmod(np.arange(k * k), k)
+        split = np.zeros((k * k, 2 * k))
+        split[np.arange(k * k), np.where(user == source, user, k + user)] = self.powers[source]
         object.__setattr__(self, "pair_conj", pv.conj().reshape(k * k, pv.shape[2]))
         object.__setattr__(self, "split", split)
 
@@ -117,17 +126,21 @@ class QuadraticFormSet:
 
 
 def build_quadratic_forms(chan: ChannelRealization, bf, powers, sigma2: float) -> QuadraticFormSet:
-    """Assemble the quadratic forms for the current combiners and powers."""
+    """Assemble the quadratic forms for the current combiners and powers.
+
+    Checks sigma2 and the shapes of the combiners and powers it is given;
+    the set it forms from them skips QuadraticFormSet's shape checks.
+    """
     _check_sigma2(sigma2)
     rows = _bf_matrix(bf)
     p = _power_array(powers)
+    k, m = chan.k, chan.m
+    if rows.shape != (k, m) or p.shape != (k,):
+        raise ConfigurationError(f"combiners {rows.shape} and powers {p.shape} must be ({k}, {m}) and ({k},)")
     projected = chan.cascade_h @ rows.T                 # column k: (h1 R^(1/2))^H b_k
     pair = chan.h2_conj[None, :, :] * projected.T[:, None, :]
-    return QuadraticFormSet(
-        pair_vectors=pair,
-        noise=sigma2 * np.sum(np.abs(rows) ** 2, axis=1),
-        powers=p,
-    )
+    return _trusted(QuadraticFormSet, pair_vectors=pair,
+                    noise=sigma2 * np.sum(np.abs(rows) ** 2, axis=1), powers=p)
 
 
 def lse_objective(sinr_values) -> float:
@@ -407,9 +420,10 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     Every candidate of a pick differs from the current phases at the picked
     element alone, so accepting one changes none of the others: one call
     (in chunks of at most QUANT_MAX_COLUMNS columns) scores the pick's q - 1
-    candidates, and the accept rule is replayed over the returned values.
-    A pick's values stay valid until a swap is accepted, so picking the same
-    element again before then calls nothing.
+    candidates, and the accept rule is replayed over the returned values
+    when one of them passes it (otherwise the pick adds q copies of the
+    current value to the trace). A pick's values stay valid until a swap is
+    accepted, so picking the same element again before then calls nothing.
     ``tau_trace`` holds the initial value, then the best value so far after
     each grid level of each picked element, its level at the pick (not
     judged again) included; ``evaluations`` counts the candidates the accept
@@ -432,29 +446,41 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     evaluations = 0
     warning = None
     scored = {}     # picked element -> its other levels' values, while no swap is accepted
+    # held level -> the other levels in level order, formed on first use; a
+    # pick adds q trace entries, so at most QUANT_MAX_EVALS / q + 1 are formed
+    others = {}
+    draw, size = rng.integers, init.n
     while True:
-        n = int(rng.integers(init.n))
+        n = int(draw(size))
         held = int(idx[n])   # phi's level here; re-scoring it after a swap cannot beat that swap
         values = scored.get(n)
         if values is None:
-            values = _swap_values(objective, phi, n, np.concatenate((levels[:held], levels[held + 1:])))
-        accepted = None
-        for level, value in enumerate(values[:held] + [None] + values[held:]):
-            if level != held:
-                evaluations += 1
-                # strict increase beyond roundoff of the phase arithmetic
-                if value > current * (1.0 + 1e-12):
+            row = others.get(held)
+            if row is None:
+                row = others[held] = np.concatenate((levels[:held], levels[held + 1:]))
+            values = _swap_values(objective, phi, n, row)
+        evaluations += q - 1
+        # strict increase beyond roundoff of the phase arithmetic
+        threshold = current * (1.0 + 1e-12)
+        if any(value > threshold for value in values):
+            for level, value in enumerate(values[:held] + [None] + values[held:]):
+                if level != held and value > current * (1.0 + 1e-12):
                     accepted, current = level, value
-            trace.append(current)
-        if accepted is None:
-            scored[n] = values
-        else:
+                trace.append(current)
             idx[n] = accepted
             phi[n] = levels[accepted]
             scored.clear()
+        else:
+            trace.extend([current] * q)
+            scored[n] = values
         if len(trace) > QUANT_WINDOW:
             last = trace[-1]
-            if sum([last - t for t in trace[-QUANT_WINDOW - 1:-1]]) < QUANT_EPSILON:
+            # once nonnegative the trace never decreases (the accept rule's slack
+            # lets only a negative value fall), so with last >= 0 every term is
+            # >= 0 and their float sum is at least the first, newest-minus-oldest
+            # term: the sum can fall below QUANT_EPSILON only if that term does
+            if ((last - trace[-QUANT_WINDOW - 1] < QUANT_EPSILON or last < 0.0)
+                    and sum([last - t for t in trace[-QUANT_WINDOW - 1:-1]]) < QUANT_EPSILON):
                 break
         if len(trace) >= QUANT_MAX_EVALS:
             warning = "evaluation budget exhausted before the improvement window settled"

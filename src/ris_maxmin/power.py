@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
-from .core import GainTable, PowerAllocation, _check_sigma2, _unchecked_powers
+from .core import GainTable, PowerAllocation, _check_sigma2, _trusted
 from .core import gain_table  # noqa: F401 (re-exported)
 from .errors import ConfigurationError, DomainError, NumericError
 
@@ -199,7 +199,7 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
         previous, p = spread, p_new
     # tau is what the returned powers achieve, so it never overstates the
     # optimum; best_p lies in (0, cap], so its PowerAllocation check is skipped
-    return PowerControlResult(_unchecked_powers(best_p), float(best_state.sinr.min()),
+    return PowerControlResult(_trusted(PowerAllocation, p=best_p), float(best_state.sinr.min()),
                               False, best_state)
 
 

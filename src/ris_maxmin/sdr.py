@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PhaseVector
+from .core import PhaseVector, _trusted
 from .phase import QuadraticFormSet
 
 _TINY = 1e-300
@@ -264,8 +264,8 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     # Condition the quadratic forms to O(1) so step sizes are scale-free.
     unit = max(float(forms.noise.max()),
                float((forms.powers * np.abs(forms.vectors).sum(axis=1) ** 2).max()), _TINY)
-    scaled = QuadraticFormSet(pair_vectors=forms.pair_vectors / np.sqrt(unit),
-                              noise=forms.noise / unit, powers=forms.powers)
+    scaled = _trusted(QuadraticFormSet, pair_vectors=forms.pair_vectors / np.sqrt(unit),
+                      noise=forms.noise / unit, powers=forms.powers)
     model = _LevelModel(scaled)
 
     rank = min(n, max(4, forms.k + 2))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
-                        PhaseVector, PowerAllocation, SinrReport, SystemConfig,
-                        build_quadratic_forms, effective_channel,
-                        lse_gradient_phase, optimal_beamformers,
+                        ExperimentPlan, PhaseVector, PowerAllocation, QuantOptions,
+                        SinrReport, SystemConfig, build_quadratic_forms,
+                        effective_channel, lse_gradient_phase, optimal_beamformers,
                         sinr_per_user, sinr_phase_tangent)
 from ris_maxmin import beamforming
 from ris_maxmin.core import GainTable, gain_table, noise_power
@@ -78,6 +78,75 @@ def test_phase_vector_round_trip(rng):
 def test_beamformer_requires_unit_rows(rng):
     with pytest.raises(ConfigurationError):
         Beamformer(rows=np.array([[1.0, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SystemConfig(m=True, n=4, k=2),
+    lambda: ExperimentPlan(trials=True, seed=1, k_grid=(2,), m_grid=(3,), n_grid=(4,)),
+    lambda: QuantOptions(bits=True),
+], ids=["SystemConfig m", "ExperimentPlan trials", "QuantOptions bits"])
+def test_a_bool_is_not_a_count(build):
+    # True is an Integral equal to 1, so without its own rule it built an m=1 scenario
+    with pytest.raises(ConfigurationError, match="must be a whole number, got True"):
+        build()
+
+
+def test_numpy_integers_are_counts():
+    assert SystemConfig(m=np.int64(3), n=np.int32(4), k=np.uint8(2)).m == 3
+    assert QuantOptions(bits=np.int64(2)).bits == 2
+
+
+def _trusted_case(rng, k=3, m=4, n=6):
+    """A channel whose second user's RIS channel is zero, so its optimal
+    combiner is the basis vector e0 rather than a normalized MMSE row."""
+    chan = synth_channel(rng, m, n, k)
+    h2 = chan.h2.copy()
+    h2[1] = 0.0
+    chan = ChannelRealization(h1=chan.h1, ris_corr_sqrt=chan.ris_corr_sqrt, h2=h2,
+                              user_positions=chan.user_positions)
+    return chan, random_phase(rng, n), rng.uniform(0.1, 1.0, k), 0.3
+
+
+def test_optimal_beamformers_pass_the_checked_constructor(rng):
+    for _ in range(5):
+        chan, phase, p, sigma2 = _trusted_case(rng)
+        bf = optimal_beamformers(chan, phase, p, sigma2)
+        assert np.array_equal(bf.rows[1], np.eye(4)[0])
+        assert np.array_equal(Beamformer(rows=bf.rows).rows, bf.rows)
+
+
+def test_gain_table_of_a_beamformer_equals_the_checked_table(rng):
+    for _ in range(5):
+        chan, phase, p, sigma2 = _trusted_case(rng)
+        bf = optimal_beamformers(chan, phase, p, sigma2)
+        trusted = gain_table(chan, phase, bf, sigma2)
+        checked = gain_table(chan, phase, bf.rows.copy(), sigma2)
+        public = GainTable(f=trusted.f, n=trusted.n)
+        for name in ("f", "n", "cross"):
+            assert np.array_equal(getattr(trusted, name), getattr(checked, name)), name
+            assert np.array_equal(getattr(trusted, name), getattr(public, name)), name
+
+
+def test_the_public_constructors_still_check(rng):
+    rows = random_beamformer(rng, 2, 3).rows.copy()
+    rows[1] = 0.0
+    with pytest.raises(ConfigurationError, match="unit norm"):
+        Beamformer(rows=rows)
+    with pytest.raises(ConfigurationError, match="gains must be nonnegative"):
+        GainTable(f=np.array([[1.0, -1e-30], [0.5, 1.0]]), n=np.ones(2))
+    with pytest.raises(ConfigurationError, match="noise terms positive"):
+        GainTable(f=np.ones((2, 2)), n=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (3,)], ids=["another k", "another m", "1-d"])
+def test_combiners_of_another_shape_are_rejected(rng, shape):
+    chan = synth_channel(rng, 3, 4, 2)
+    phase, p = random_phase(rng, 4), np.ones(2)
+    rows = np.ones(shape, dtype=complex)
+    with pytest.raises(ConfigurationError, match=r"combiners must be \(2, 3\)"):
+        gain_table(chan, phase, rows, 1.0)
+    with pytest.raises(ConfigurationError, match=r"combiners \(.*\) and powers \(2,\) must be"):
+        build_quadratic_forms(chan, rows, p, 1.0)
 
 
 def test_report_minimum_is_derived():
@@ -284,6 +353,7 @@ def test_noise_power_values():
 SIGMA2_ENTRIES = {
     "optimal_beamformers": lambda chan, phase, p, bf, s2: optimal_beamformers(chan, phase, p, s2),
     "sinr_per_user": lambda chan, phase, p, bf, s2: sinr_per_user(chan, phase, p, bf, s2),
+    "gain_table": lambda chan, phase, p, bf, s2: gain_table(chan, phase, bf, s2),
     "build_quadratic_forms": lambda chan, phase, p, bf, s2: build_quadratic_forms(chan, bf, p, s2),
     "sinr_phase_tangent": lambda chan, phase, p, bf, s2: sinr_phase_tangent(chan, p, phase, s2),
     "lse_gradient_phase": lambda chan, phase, p, bf, s2: lse_gradient_phase(chan, p, phase, s2),

@@ -81,6 +81,24 @@ def test_sinr_batch_keeps_a_high_sinr_users_interference(rng):
                 assert abs(single[i] - expected) <= 1e-12 * expected
 
 
+def test_built_forms_equal_the_checked_constructor(rng):
+    for k in (1, 2, 5):
+        chan = synth_channel(rng, 4, 6, k)
+        bf = random_beamformer(rng, k, 4)
+        forms = build_quadratic_forms(chan, bf, rng.uniform(0.1, 1.0, k), 0.7)
+        checked = QuadraticFormSet(pair_vectors=forms.pair_vectors, noise=forms.noise,
+                                   powers=forms.powers)
+        for name in ("pair_vectors", "noise", "powers", "pair_conj", "split"):
+            assert np.array_equal(getattr(forms, name), getattr(checked, name)), name
+
+
+@pytest.mark.parametrize("powers", [np.ones(3), np.ones((2, 1)), 1.0], ids=["long", "2-d", "scalar"])
+def test_build_quadratic_forms_rejects_powers_of_another_shape(rng, powers):
+    chan = synth_channel(rng, 3, 4, 2)
+    with pytest.raises(ConfigurationError, match=r"powers \(.*\) must be \(2, 3\) and \(2,\)"):
+        build_quadratic_forms(chan, random_beamformer(rng, 2, 3), powers, 1.0)
+
+
 @pytest.mark.parametrize("pair_shape, noise_shape, powers_shape, message", [
     ((2, 4), (2,), (2,), r"pair_vectors must be \(k, k, n\)"),
     ((2, 3, 4), (2,), (2,), r"pair_vectors must be \(k, k, n\)"),

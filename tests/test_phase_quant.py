@@ -189,3 +189,65 @@ def test_an_element_is_scored_again_only_after_a_swap(rng):
                 accepted += 1
         assert len(calls) == expected
     assert remembered > 0 and accepted > 0
+
+
+def _level_sum(bits, base, step):
+    """An objective that scores a candidate base + step * (the sum of its grid
+    level indices): the same bits for the serial loop's (n,) vectors and the
+    batched (n, c) matrices."""
+    q = 2 ** bits
+
+    def objective(phi):
+        levels = np.rint(np.angle(phi) * (q / phase.TWO_PI)).astype(int) % q
+        return base + step * levels.sum(axis=0)
+
+    return objective
+
+
+def _window_terms(trace, q):
+    """(first term, full sum) of the stop rule's window after every pick that
+    leaves more than QUANT_WINDOW trace entries, summed as the rule sums."""
+    terms = []
+    for end in range(1 + q, trace.size + 1, q):
+        if end > phase.QUANT_WINDOW:
+            window = trace[end - phase.QUANT_WINDOW - 1:end - 1].tolist()
+            last = float(trace[end - 1])
+            terms.append((last - window[0], sum([last - t for t in window])))
+    return terms
+
+
+def _run_both(objective, bits, seed, n=12):
+    """The heuristic and the serial loop on the same draws, held equal bit for bit."""
+    init = grid_phase_from_uniform(np.random.default_rng(seed).random(n), bits, 1.0)
+    options = QuantOptions(bits=bits)
+    out = quantized_heuristic_phase(objective, init, np.random.default_rng(seed), options)
+    ref = serial_quantized_heuristic_phase(objective, init, np.random.default_rng(seed), options)
+    assert np.array_equal(out.phase.theta, ref.phase.theta)
+    assert np.array_equal(out.tau_trace, ref.tau_trace)
+    assert out.evaluations == ref.evaluations
+    assert out.warning is None and ref.warning is None
+    return _window_terms(out.tau_trace, 2 ** bits)
+
+
+@pytest.mark.parametrize("bits, seed", [(1, 2), (3, 0)])
+def test_the_window_is_summed_when_its_first_term_is_small(bits, seed):
+    # steps of 1e-10 keep the newest-to-oldest rise below QUANT_EPSILON while the
+    # window's 50 terms still add up past it, so the sum decides to go on; steps
+    # of 1e-8 put the first term above it, and the sum is skipped
+    terms = _run_both(_level_sum(bits, 1.0, 1e-10), bits, seed)
+    eps = phase.QUANT_EPSILON
+    assert any(first < eps <= total for first, total in terms)
+    assert terms[-1][1] < eps
+    terms = _run_both(_level_sum(bits, 1.0, 1e-8), bits, seed)
+    assert any(first >= eps for first, _ in terms)
+
+
+@pytest.mark.parametrize("bits, seed", [(1, 0), (3, 2)])
+def test_a_falling_trace_is_summed_whatever_its_first_term(bits, seed):
+    # at negative values the accept rule's relative slack takes a value up to
+    # 1e-12 * |current| below the current one, so the trace can fall and the
+    # window's terms turn negative: these runs stop on a sum below QUANT_EPSILON
+    # whose first term alone lies above it
+    terms = _run_both(_level_sum(bits, -1e5, 2e-8), bits, seed)
+    first, total = terms[-1]
+    assert first >= phase.QUANT_EPSILON > total
