@@ -17,6 +17,11 @@ max-min SINR that power control reaches under the caps with MMSE
 combiners, and proposes the new phases together with those powers and
 combiners. The other phase methods optimize the fixed-combiner,
 fixed-power objective directly and propose new phases alone.
+
+"random-baseline" runs no sweeps. At its random phases tau(theta) is the
+joint optimum over combiners and powers, so one mmse_max_min_power call
+gives it; the MMSE combiners at those powers are scored through the same
+gain table and guard as one combiner stage and one power stage.
 """
 
 import math
@@ -25,14 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import optimal_beamformers
+from .beamforming import mmse_combiners, optimal_beamformers, post_bf_sinr_values
 from .core import (Beamformer, ChannelRealization, PhaseVector, PowerAllocation,
-                   SinrReport, SystemConfig, _check_count, gain_table, sinr_per_user)
+                   SinrReport, SystemConfig, _check_count, effective_channel, gain_table,
+                   sinr_per_user)
 from .errors import ConfigurationError, NumericError
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
                     quantized_heuristic_phase)
-from .power import effective_power_cap, max_min_power
+from .power import STALL_SPREAD, effective_power_cap, max_min_power, mmse_max_min_power
 from .sdr import sdr_dinkelbach_phase
 
 METHODS = ("sdr", "lse", "quant", "random-baseline")
@@ -97,6 +103,59 @@ def _scored(table, power: PowerAllocation, stage: str) -> float:
     return value
 
 
+def _solution(chan, sigma2, method, phase, power, bf, trace, sweeps, converged, p_cap,
+              diagnostics, started) -> Solution:
+    """The run's Solution, reporting every user's SINR at its final point."""
+    per_user = sinr_per_user(chan, phase, power, bf, sigma2).per_user
+    report = SinrReport(per_user=per_user, stage_trace=trace)
+    return Solution(
+        bf=bf,
+        power=power,
+        phase=phase,
+        report=report,
+        iterations=sweeps,
+        wall_time=time.perf_counter() - started,
+        method=method,
+        converged=converged,
+        degenerate=bool(report.minimum == 0.0),
+        p_cap=p_cap,
+        diagnostics=diagnostics,
+    )
+
+
+def _tau_baseline(config, chan, phase, p_cap, started) -> Solution:
+    """random-baseline at its phases: tau's powers from the caps and the MMSE
+    combiners at those powers (read from tau's own factorization), traced as
+    one combiner and one power stage.
+
+    The combiner stage scores the new combiners at the caps; the guarded
+    power stage keeps tau's powers, scored on the same gain table. The run
+    has converged when the reported SINRs are balanced to STALL_SPREAD (or
+    the point is degenerate)."""
+    sigma2 = config.sigma2
+    g = effective_channel(chan, phase)
+    result = mmse_max_min_power(g, p_cap, sigma2)
+    state = result.mmse_state
+    if state is None:   # degenerate: the caps are returned unfactored
+        state = post_bf_sinr_values(g, result.power.p, sigma2)
+    bf = mmse_combiners(g, state)
+    table = gain_table(chan, phase, bf, sigma2)
+    power = PowerAllocation(p_cap.copy())
+    current = _scored(table, power, "bf")
+    trace = [("bf", current)]
+    diagnostics = []
+    if result.degenerate:
+        diagnostics.append("sweep 1: degenerate gain table in the power step")
+    candidate = _scored(table, result.power, "power")
+    if candidate >= current:
+        power, current = result.power, candidate
+    trace.append(("power", current))
+    # current is the minimum of the kept powers' SINRs on this table
+    balanced = current == 0.0 or table.sinr(power.p).max() / current - 1.0 <= STALL_SPREAD
+    return _solution(chan, sigma2, "random-baseline", phase, power, bf, trace, 1, balanced,
+                     p_cap, diagnostics, started)
+
+
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
                          rng: np.random.Generator, tol: float = SWEEP_TOL,
                          max_sweeps: int = MAX_SWEEPS,
@@ -104,11 +163,14 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     """Maximize the minimum uplink SINR by block-coordinate sweeps.
 
     ``method`` selects the phase optimizer ("sdr", "lse", "quant") or
-    "random-baseline", which keeps the initial random phases and only runs
-    the combiner and power steps. The loop stops when the relative
-    improvement of the minimum SINR over one sweep drops below ``tol`` or
-    after ``max_sweeps`` sweeps. Powers start at the exposure-folded cap so
-    the first combiner update sees realistic interference.
+    "random-baseline", which keeps the initial random phases and reports the
+    exact combiner-and-power optimum there: one mmse_max_min_power solve from
+    the caps and the MMSE combiners at its powers, as one sweep (it validates
+    ``tol`` and ``max_sweeps`` but needs neither). The loop stops when the
+    relative improvement of the minimum SINR over one sweep drops below
+    ``tol`` or after ``max_sweeps`` sweeps. Powers start at the
+    exposure-folded cap so the first combiner update sees realistic
+    interference.
     ``phase_options`` (QuantOptions) sets the bit depth of "quant"; the
     other methods have no settings.
     """
@@ -118,14 +180,16 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     started = time.perf_counter()
     sigma2 = config.sigma2
     p_cap = effective_power_cap(config.p_max, config.sar_ref, config.emf_max)
-    diagnostics: list[str] = []
 
     if method == "quant":
         bits = (phase_options or QuantOptions()).bits
         phase = grid_phase_from_uniform(rng.random(config.n), bits, config.alpha)
     else:
         phase = PhaseVector.random(config.n, config.alpha, rng)
+    if method == "random-baseline":
+        return _tau_baseline(config, chan, phase, p_cap, started)
 
+    diagnostics: list[str] = []
     # the first combiner stage is always kept, so no operating point is scored
     # before it; table is the gain table of the current (phase, bf)
     power = PowerAllocation(p_cap.copy())
@@ -153,35 +217,21 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
         trace.append(("power", current))
 
         # phase step, guarded against any decrease of the minimum
-        if method != "random-baseline":
-            phase_new, power_new, bf_new, warning = _phase_proposal(
-                method, config, chan, phase, power, bf, p_cap, rng, phase_options)
-            if warning:
-                diagnostics.append(f"sweep {sweeps}: {warning}")
-            table_new = gain_table(chan, phase_new, bf_new, sigma2)
-            candidate = _scored(table_new, power_new, "phase")
-            if candidate >= current:
-                phase, power, bf, table = phase_new, power_new, bf_new, table_new
-                current = candidate
-            trace.append(("phase", current))
+        phase_new, power_new, bf_new, warning = _phase_proposal(
+            method, config, chan, phase, power, bf, p_cap, rng, phase_options)
+        if warning:
+            diagnostics.append(f"sweep {sweeps}: {warning}")
+        table_new = gain_table(chan, phase_new, bf_new, sigma2)
+        candidate = _scored(table_new, power_new, "phase")
+        if candidate >= current:
+            phase, power, bf, table = phase_new, power_new, bf_new, table_new
+            current = candidate
+        trace.append(("phase", current))
 
         if previous is not None and current - previous <= tol * max(previous, 1e-300):
             converged = True
             break
         previous = current
 
-    per_user = sinr_per_user(chan, phase, power, bf, sigma2).per_user
-    report = SinrReport(per_user=per_user, stage_trace=trace)
-    return Solution(
-        bf=bf,
-        power=power,
-        phase=phase,
-        report=report,
-        iterations=sweeps,
-        wall_time=time.perf_counter() - started,
-        method=method,
-        converged=converged,
-        degenerate=bool(report.minimum == 0.0),
-        p_cap=p_cap,
-        diagnostics=diagnostics,
-    )
+    return _solution(chan, sigma2, method, phase, power, bf, trace, sweeps, converged, p_cap,
+                     diagnostics, started)

@@ -132,20 +132,26 @@ def post_bf_sinr_values(g: np.ndarray, p: np.ndarray, sigma2: float) -> _MmseSta
     return state
 
 
-def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
-                        sigma2: float) -> Beamformer:
-    """Per-user SINR-maximizing unit-norm receive combiners.
+def mmse_combiners(g: np.ndarray, state: _MmseState) -> Beamformer:
+    """The unit-norm MMSE combiners of the operating point that ``state``
+    factors (post_bf_sinr_values on the (m, k) effective channels ``g``).
 
     A user with a zero effective channel gets the first standard basis
     vector; every other row is (S_k + sigma2*I)^{-1} g_k normalized, so the
     Beamformer is built without re-scanning the norms of its rows.
     """
-    _check_sigma2(sigma2)
-    p = _power_array(powers)
-    g = effective_channel(chan, phase)
-    rows = post_bf_sinr_values(g, p, sigma2).directions.T
+    rows = state.directions.T
     norms = np.linalg.norm(rows, axis=1)
     zero = np.linalg.norm(g, axis=0) == 0.0
-    rows[zero, 0] = 1.0
     norms[zero] = 1.0
-    return _trusted(Beamformer, rows=rows / norms[:, None])
+    rows = rows / norms[:, None]
+    rows[zero, 0] = 1.0     # its direction row is exactly zero
+    return _trusted(Beamformer, rows=rows)
+
+
+def optimal_beamformers(chan: ChannelRealization, phase: PhaseVector, powers,
+                        sigma2: float) -> Beamformer:
+    """Per-user SINR-maximizing unit-norm receive combiners (mmse_combiners)."""
+    _check_sigma2(sigma2)
+    g = effective_channel(chan, phase)
+    return mmse_combiners(g, post_bf_sinr_values(g, _power_array(powers), sigma2))

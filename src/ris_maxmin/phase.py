@@ -38,6 +38,7 @@ slope at the best phase so far predicts where each candidate's power step
 starts.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,7 +436,7 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
     """
     grid = phase_grid((options or QuantOptions()).bits)
     q = grid.size
-    idx = np.argmin(np.abs(np.mod(init.theta[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi), axis=1)
+    idx = np.rint(init.theta * (q / TWO_PI)).astype(int) % q
     if np.max(np.abs(np.mod(init.theta - grid[idx] + np.pi, TWO_PI) - np.pi)) > 1e-9:
         raise ConfigurationError(f"initial phases must lie on the {q}-point grid")
 
@@ -460,11 +461,11 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
                 row = others[held] = np.concatenate((levels[:held], levels[held + 1:]))
             values = _swap_values(objective, phi, n, row)
         evaluations += q - 1
-        # strict increase beyond roundoff of the phase arithmetic
-        threshold = current * (1.0 + 1e-12)
+        # strict increase beyond roundoff of the phase arithmetic, at either sign
+        threshold = current * (1.0 + math.copysign(1e-12, current))
         if any(value > threshold for value in values):
             for level, value in enumerate(values[:held] + [None] + values[held:]):
-                if level != held and value > current * (1.0 + 1e-12):
+                if level != held and value > current * (1.0 + math.copysign(1e-12, current)):
                     accepted, current = level, value
                 trace.append(current)
             idx[n] = accepted
@@ -475,11 +476,10 @@ def quantized_heuristic_phase(objective, init: PhaseVector, rng: np.random.Gener
             scored[n] = values
         if len(trace) > QUANT_WINDOW:
             last = trace[-1]
-            # once nonnegative the trace never decreases (the accept rule's slack
-            # lets only a negative value fall), so with last >= 0 every term is
-            # >= 0 and their float sum is at least the first, newest-minus-oldest
-            # term: the sum can fall below QUANT_EPSILON only if that term does
-            if ((last - trace[-QUANT_WINDOW - 1] < QUANT_EPSILON or last < 0.0)
+            # the trace never decreases, so every term is >= 0 and their float
+            # sum is at least the first, newest-minus-oldest term: the sum can
+            # fall below QUANT_EPSILON only if that term does
+            if (last - trace[-QUANT_WINDOW - 1] < QUANT_EPSILON
                     and sum([last - t for t in trace[-QUANT_WINDOW - 1:-1]]) < QUANT_EPSILON):
                 break
         if len(trace) >= QUANT_MAX_EVALS:

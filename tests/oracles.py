@@ -1,6 +1,7 @@
 """Test-side references: finite differences, lifted forms, the post-combining
-report, the serial quant swap loop, the serial SDR line search, the
-per-element channel dump and the reference tau chain of the lse step.
+report, the serial quant swap loop and its grid levels, the serial SDR line
+search, the per-element channel dump, the reference tau chain of the lse
+step and the sweeping random baseline.
 
 None of these is part of the library. Each is built from the library's
 primitives in the most direct way, so a test can hold the optimized
@@ -15,15 +16,15 @@ import scipy.optimize
 from scipy.linalg import lapack
 
 from ris_maxmin.beamforming import (SLACK_FALLBACK, _cholesky_solve, interference_cholesky,
-                                    post_bf_sinr_values)
+                                    optimal_beamformers, post_bf_sinr_values)
 from ris_maxmin.channel import CHANNEL_DUMP_HEADER
 from ris_maxmin.core import (TWO_PI, PhaseVector, PowerAllocation, SinrReport, _power_array,
-                             effective_channel)
+                             effective_channel, gain_table)
 from ris_maxmin.errors import ConfigurationError, NumericError
 from ris_maxmin.phase import (LSE_GRAD_TOL, LSE_MAX_ITERS, QUANT_EPSILON, QUANT_MAX_EVALS,
                               QUANT_WINDOW, LseResult, QuantOptions, QuantResult, phase_grid)
 from ris_maxmin.power import (BALANCED_SPREAD, FIXED_POINT_MAX_ITER, STALL_SPREAD, STALL_STEPS,
-                              PowerControlResult)
+                              PowerControlResult, effective_power_cap, max_min_power)
 from ris_maxmin.sdr import (INNER_ITERS, STEP_GROW, STEP_INIT, STEP_MAX, STEP_TRIES,
                             STOP_REL, STOP_WINDOW, _Ascent)
 
@@ -66,6 +67,12 @@ def lifted_sinr(forms, v) -> np.ndarray:
     return parts[:forms.k] / (parts[forms.k:] + forms.noise)
 
 
+def nearest_grid_levels(theta, grid) -> np.ndarray:
+    """Each angle's nearest grid level by wrapped distance: an argmin over
+    every (angle, level) pair."""
+    return np.argmin(np.abs(np.mod(theta[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi), axis=1)
+
+
 def serial_quantized_heuristic_phase(objective, init, rng, options=None) -> QuantResult:
     """The quant swap loop one candidate at a time: ``objective`` maps one
     unit-modulus (n,) vector to its minimum SINR, and each level of each
@@ -73,7 +80,7 @@ def serial_quantized_heuristic_phase(objective, init, rng, options=None) -> Quan
     trace and stop rule as phase.quantized_heuristic_phase."""
     grid = phase_grid((options or QuantOptions()).bits)
     q = grid.size
-    idx = np.argmin(np.abs(np.mod(init.theta[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi), axis=1)
+    idx = nearest_grid_levels(init.theta, grid)
     if np.max(np.abs(np.mod(init.theta - grid[idx] + np.pi, TWO_PI) - np.pi)) > 1e-9:
         raise ConfigurationError(f"initial phases must lie on the {q}-point grid")
 
@@ -91,7 +98,7 @@ def serial_quantized_heuristic_phase(objective, init, rng, options=None) -> Quan
                 cand[n] = np.exp(1j * grid[level])
                 value = float(objective(cand))
                 evaluations += 1
-                if value > current * (1.0 + 1e-12):
+                if value > current * (1.0 + math.copysign(1e-12, current)):
                     idx[n] = level
                     phi = cand
                     current = value
@@ -341,3 +348,27 @@ def reference_lse_max_min_phase(chan, init, p_cap, sigma2) -> LseResult:
                                   options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
     return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["tau"],
                      int(out.nit), bool(out.success), power=best["power"])
+
+
+def sweeping_random_baseline(config, chan, rng, tol=1e-4, max_sweeps=30):
+    """random-baseline as the alternating loop once ran it: random phases,
+    then sweeps of a combiner stage and a fixed-combiner (Perron) power
+    stage, each kept only if the minimum SINR does not fall, until a sweep
+    raises it by at most ``tol`` relative. Returns (phases, final minimum)."""
+    phase = PhaseVector.random(config.n, config.alpha, rng)
+    p_cap = effective_power_cap(config.p_max, config.sar_ref, config.emf_max)
+    power = PowerAllocation(p_cap.copy())
+    table, current, previous = None, -np.inf, None
+    for _ in range(max_sweeps):
+        table_new = gain_table(chan, phase, optimal_beamformers(chan, phase, power, config.sigma2),
+                               config.sigma2)
+        candidate = float(table_new.sinr(power.p).min())
+        if candidate >= current:
+            table, current = table_new, candidate
+        result = max_min_power(table, p_cap)
+        if result.tau >= current:
+            power, current = result.power, result.tau
+        if previous is not None and current - previous <= tol * max(previous, 1e-300):
+            break
+        previous = current
+    return phase, current

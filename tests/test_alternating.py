@@ -10,10 +10,13 @@ import ris_maxmin
 from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         alternating_optimize, effective_channel, sample_channel,
                         sinr_per_user)
-from ris_maxmin import alternating, phase
+from ris_maxmin import PhaseVector, alternating, max_min_power, phase, power
 from ris_maxmin.alternating import METHODS
-from ris_maxmin.core import ChannelRealization, GainTable
+from ris_maxmin.core import ChannelRealization, GainTable, gain_table
 from ris_maxmin.errors import NumericError
+from ris_maxmin.power import mmse_max_min_power
+
+from oracles import sweeping_random_baseline
 
 SMALL = SystemConfig(m=4, n=6, k=3)
 
@@ -92,6 +95,63 @@ def test_random_baseline_has_no_phase_stages():
                                np.random.default_rng(4))
     labels = {label for label, _ in sol.report.stage_trace}
     assert labels == {"bf", "power"}
+
+
+@pytest.mark.parametrize("m, n, k", [(12, 24, 2), (12, 24, 6), (2, 6, 5)])
+def test_random_baseline_is_one_tau_solve_at_its_phases(m, n, k):
+    # the last shape has more users than antennas
+    cfg = SystemConfig(m=m, n=n, k=k)
+    for seed in range(3):
+        chan = sample_channel(cfg, np.random.default_rng((1, seed)))
+        sol = alternating_optimize(cfg, chan, "random-baseline", np.random.default_rng((2, seed)))
+        drawn = PhaseVector.random(n, cfg.alpha, np.random.default_rng((2, seed)))
+        assert np.array_equal(sol.phase.theta, drawn.theta)
+        tau = mmse_max_min_power(effective_channel(chan, sol.phase), sol.p_cap, cfg.sigma2).tau
+        assert sol.report.minimum == pytest.approx(tau, rel=1e-12, abs=0.0)
+        # at MMSE combiners for tau's powers, the fixed-combiner optimum is tau itself
+        perron = max_min_power(gain_table(chan, sol.phase, sol.bf, cfg.sigma2), sol.p_cap).tau
+        assert perron == pytest.approx(sol.report.minimum, rel=1e-9, abs=0.0)
+        assert sol.iterations == 1 and sol.converged and not sol.diagnostics
+        trace = sol.report.stage_trace
+        assert [label for label, _ in trace] == ["bf", "power"]
+        assert trace[0][1] <= trace[1][1] == sol.report.minimum
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_random_baseline_never_falls_below_the_sweeping_loop(k):
+    # the loop of combiner and Perron stages that stops on tol can stop short of tau
+    cfg = SystemConfig(m=12, n=24, k=k)
+    rises = []
+    for s in range(16):
+        chan = sample_channel(cfg, np.random.default_rng((1, s)))
+        sol = alternating_optimize(cfg, chan, "random-baseline", np.random.default_rng((2, s)))
+        drawn, swept = sweeping_random_baseline(cfg, chan, np.random.default_rng((2, s)))
+        assert np.array_equal(sol.phase.theta, drawn.theta)
+        assert sol.report.minimum >= swept * (1.0 - 1e-12), s
+        rises.append(sol.report.minimum > swept * (1.0 + 1e-9))
+    if k == 2:
+        assert any(rises)
+
+
+def test_random_baseline_on_a_degenerate_channel_keeps_the_caps():
+    chan = ChannelRealization(h1=np.zeros((4, 6)), ris_corr_sqrt=np.eye(6),
+                              h2=np.ones((3, 6)), user_positions=np.zeros((3, 2)))
+    sol = alternating_optimize(SMALL, chan, "random-baseline", np.random.default_rng(1))
+    assert np.array_equal(sol.power.p, sol.p_cap)
+    assert sol.report.minimum == 0.0 and sol.degenerate and sol.converged
+    assert sol.diagnostics == ["sweep 1: degenerate gain table in the power step"]
+    assert [label for label, _ in sol.report.stage_trace] == ["bf", "power"]
+
+
+def test_random_baseline_unbalanced_at_the_step_cap_is_not_converged(monkeypatch):
+    # one factorization, at the caps, leaves the SINRs unbalanced
+    monkeypatch.setattr(power, "FIXED_POINT_MAX_ITER", 1)
+    cfg = SystemConfig(m=12, n=24, k=6)
+    sol = alternating_optimize(cfg, sample_channel(cfg, np.random.default_rng(0)),
+                               "random-baseline", np.random.default_rng(1))
+    assert not sol.converged and sol.iterations == 1
+    minima = [v for _, v in sol.report.stage_trace]
+    assert minima[0] <= minima[1] == sol.report.minimum
 
 
 def test_powers_respect_effective_cap():

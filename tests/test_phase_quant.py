@@ -10,7 +10,7 @@ from ris_maxmin import phase
 from ris_maxmin.phase import QUANT_MAX_COLUMNS
 
 from conftest import random_beamformer, synth_channel
-from oracles import serial_quantized_heuristic_phase
+from oracles import nearest_grid_levels, serial_quantized_heuristic_phase
 
 
 def make_objective(rng, m, n, k, alpha=1.0):
@@ -243,11 +243,34 @@ def test_the_window_is_summed_when_its_first_term_is_small(bits, seed):
 
 
 @pytest.mark.parametrize("bits, seed", [(1, 0), (3, 2)])
-def test_a_falling_trace_is_summed_whatever_its_first_term(bits, seed):
-    # at negative values the accept rule's relative slack takes a value up to
-    # 1e-12 * |current| below the current one, so the trace can fall and the
-    # window's terms turn negative: these runs stop on a sum below QUANT_EPSILON
-    # whose first term alone lies above it
-    terms = _run_both(_level_sum(bits, -1e5, 2e-8), bits, seed)
-    first, total = terms[-1]
-    assert first >= phase.QUANT_EPSILON > total
+def test_a_negative_trace_never_falls_and_stops_by_the_window(bits, seed):
+    # at base -1e5 a swap must beat the current value by 1e-12 * |current| = 1e-7,
+    # upward as at positive values: one level step (2e-8) never passes, a run of
+    # steps may, and no candidate below the current value is taken
+    objective = _level_sum(bits, -1e5, 2e-8)
+    terms = _run_both(objective, bits, seed)
+    init = grid_phase_from_uniform(np.random.default_rng(seed).random(12), bits, 1.0)
+    out = quantized_heuristic_phase(objective, init, np.random.default_rng(seed),
+                                    QuantOptions(bits=bits))
+    assert np.all(np.diff(out.tau_trace) >= 0.0)
+    assert out.tau_trace[0] < 0.0
+    assert terms[-1][1] < phase.QUANT_EPSILON
+
+
+@pytest.mark.parametrize("bits", [1, 3, phase.QUANT_MAX_BITS])
+def test_grid_levels_are_the_nearest_levels(bits, rng):
+    # a flat objective accepts no swap, so the returned phases are the grid
+    # levels the heuristic derived from its input
+    grid = phase_grid(bits)
+    n = 24
+    flat = lambda phi: np.zeros(phi.shape[1])  # noqa: E731
+    levels = rng.integers(grid.size, size=n)
+    for jitter in (0.0, 1e-10, -1e-10):
+        init = PhaseVector(theta=grid[levels] + jitter * rng.choice([-1.0, 1.0], size=n))
+        expected = nearest_grid_levels(init.theta, grid)
+        assert np.array_equal(expected, levels)
+        out = quantized_heuristic_phase(flat, init, np.random.default_rng(0), QuantOptions(bits=bits))
+        assert np.array_equal(out.phase.theta, grid[expected])
+    off = PhaseVector(theta=grid[levels] + np.where(np.arange(n) == 5, 1e-6, 0.0))
+    with pytest.raises(ConfigurationError, match=f"initial phases must lie on the {grid.size}-point grid"):
+        quantized_heuristic_phase(flat, off, np.random.default_rng(0), QuantOptions(bits=bits))
