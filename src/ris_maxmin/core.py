@@ -14,9 +14,11 @@ Who checks what: the public constructors (PowerAllocation, Beamformer,
 GainTable, phase.QuadraticFormSet, ...) check every value a caller hands
 them. A value the library has just computed in the checked form is built
 by _trusted instead, which skips those checks; a class with derived fields
-(GainTable.cross, QuadraticFormSet.pair_conj and split) forms them in one
-_derive that both paths run. The trusted values: the unit-norm rows of
-beamforming.optimal_beamformers, the max-min powers of
+(PhaseVector.phi, GainTable.cross, QuadraticFormSet.pair_conj and split)
+forms them in one _derive that both paths run. The trusted values: the
+L-BFGS-B iterates of the lse steps (a non-finite angle there is a
+NumericError of the MMSE kernel, not a ConfigurationError), the unit-norm
+rows of beamforming.optimal_beamformers, the max-min powers of
 power.mmse_max_min_power, a gain table of a Beamformer (gain_table skips
 the gain scan, since unit rows make every noise term sigma2 > 0 and
 |b^H g|^2 is never negative), the forms of phase.build_quadratic_forms
@@ -227,13 +229,18 @@ class PhaseVector:
     phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = np.mod(np.asarray(self.theta, dtype=float), TWO_PI)
+        theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 1:
             raise ConfigurationError("theta must be a 1-d array of angles")
+        if not np.isfinite(theta).all():
+            raise ConfigurationError("theta contains non-finite angles")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", np.exp(1j * theta))
+        object.__setattr__(self, "theta", np.mod(theta, TWO_PI))
+        self._derive()
+
+    def _derive(self):
+        object.__setattr__(self, "phi", np.exp(1j * self.theta))
 
     @classmethod
     def from_phi(cls, phi, alpha: float = 1.0) -> "PhaseVector":

@@ -248,6 +248,17 @@ def _predicted_start(p: np.ndarray, slope: np.ndarray, step: np.ndarray) -> np.n
     return predicted if 0.0 < predicted.min() and predicted.max() < np.inf else p
 
 
+def _iterate_phase(theta: np.ndarray, alpha: float) -> PhaseVector:
+    """L-BFGS-B's angles as a phase, built without PhaseVector's checks.
+
+    The angles are the solver's, not a caller's, so a non-finite one is a
+    numeric fault, not a ConfigurationError: it becomes a nan coefficient
+    (an infinite one after np.mod's invalid-value RuntimeWarning) that the
+    MMSE kernel's finite check raises as a NumericError.
+    """
+    return _trusted(PhaseVector, theta=np.mod(theta, TWO_PI), alpha=alpha)
+
+
 LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step has converged
 LSE_MAX_ITERS = 200         # L-BFGS-B iterations per smooth-min phase step
 
@@ -293,7 +304,7 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
     best = {"min": float(rho.min()), "theta": init.theta}
 
     def surrogate(theta):
-        tangent, rho = sinr_phase_tangent(chan, p, PhaseVector(theta=theta, alpha=alpha), sigma2)
+        tangent, rho = sinr_phase_tangent(chan, p, _iterate_phase(theta, alpha), sigma2)
         if np.any(rho <= 0):
             return np.inf, np.zeros_like(theta)
         if rho.min() > best["min"]:
@@ -340,7 +351,7 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
 
     def neg_log_tau(theta):
         guess = _predicted_start(best["power"].p, best["slope"], theta - best["theta"])
-        grad, result, slope = max_min_sinr_tangent(chan, PhaseVector(theta=theta, alpha=alpha),
+        grad, result, slope = max_min_sinr_tangent(chan, _iterate_phase(theta, alpha),
                                                    cap, sigma2, start=guess)
         if result.tau <= 0.0:
             return np.inf, np.zeros_like(theta)

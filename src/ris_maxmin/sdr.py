@@ -22,6 +22,13 @@ every factor the bits it gets alone, so the accepted step, the counters
 and the iterates are those of scoring one length at a time; only the
 lengths after the accepted one are scored in vain.
 
+A step makes about fifty numpy calls on arrays of at most 36 x 16 entries,
+so what it costs is call overhead more than arithmetic. The step is written
+flat: its gradient and smoothed minima are inline, it calls the ufunc
+reductions without ndarray's wrappers, and its row norms and radial
+projection call c_einsum, the C function behind np.einsum, directly
+(np.einsum itself on a numpy that lacks it). None of this moves a bit.
+
 C_k(lam) is affine in lam, so one level model serves the whole call: a
 single pass over the pair gains |b_ki^H L|^2 gives every user's signal
 s_k = p_k <R_kk, V> and denominator d_k = sum_{i != k} p_i <R_ki, V> +
@@ -68,6 +75,8 @@ STEP_BATCH = 2          # scored STEP_BATCH at a time in one stacked pass
 INIT_SPREAD = 0.05      # nudge of the warm start off the rank-one corner
 N_RAND = 200            # Gaussian randomization draws when the best lifted matrix is not rank one
 
+_HALVINGS = (0.5 ** np.arange(STEP_BATCH))[:, None, None]  # a pass's lengths, over its first one
+
 
 @dataclass
 class SdrResult:
@@ -99,10 +108,33 @@ class SdrResult:
     warning: str | None = None
 
 
+def _bind_einsum():
+    """The C function that np.einsum calls, for the ascent's row reductions.
+
+    np.einsum's Python wrapper costs about 1 us of each 2.5 us call on the
+    ascent's small operands, and calling its C core directly gives the same
+    bits. The core is c_einsum of numpy._core.multiarray (numpy.core.multiarray
+    before numpy 2); where neither module has it, np.einsum itself.
+    """
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:
+        try:
+            from numpy.core.multiarray import c_einsum
+        except ImportError:
+            c_einsum = np.einsum
+    return c_einsum
+
+
+_einsum = _bind_einsum()
+# the reductions ndarray.min, max and sum run, without their Python wrappers
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
 def _row_sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared norm of every row of a C-contiguous complex matrix, or of each matrix of a stack."""
     real = a.view(float)
-    return np.einsum("...ij,...ij->...i", real, real)
+    return _einsum("...ij,...ij->...i", real, real)
 
 
 class _LevelModel:
@@ -141,30 +173,17 @@ class _LevelModel:
         parts = (_row_sq_norms(t)[:, None, :] @ self.split)[:, 0]
         return t, parts[:, :self.k], parts[:, self.k:] + self.noise
 
-    def gradient(self, t: np.ndarray, weights: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """Wirtinger gradient w.r.t. conj(L) of the weights-averaged levels."""
-        folded = (weights[:, None] * coef).reshape(-1, 1)
-        return self.pair_t @ (folded * t)
-
 
 def _normalize_rows(factor: np.ndarray, alpha: float) -> np.ndarray:
     """Rows of a factor, or of each factor of a stack, scaled to norm alpha; a zero row
     becomes alpha times the first unit vector."""
     sq = _row_sq_norms(factor)
-    if sq.min() <= 0.0:
+    if _min(sq, None) <= 0.0:
         dead = sq <= 0.0
         factor = factor.copy()
         factor[dead, 0] = 1.0
         sq[dead] = 1.0
     return factor * (alpha / np.sqrt(sq))[..., None]
-
-
-def _softmins(levels: np.ndarray, mu: float) -> tuple[list[float], list[float]]:
-    """Minimum and smoothed minimum, at temperature mu, of every row of a (c, K) stack of levels."""
-    lows = levels.min(axis=1)
-    sums = np.exp((lows[:, None] - levels) / mu).sum(axis=1).tolist()
-    lows = lows.tolist()
-    return lows, [low - mu * math.log(total) for low, total in zip(lows, sums)]
 
 
 class _Ascent(NamedTuple):
@@ -185,38 +204,43 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: flo
     """
     alpha2 = alpha ** 2
     coef = model.coef(lam)
+    pair_t = model.pair_t
     t, signal, denom = model.stats(factor[None])
     t, levels = t[0], signal[0] - lam * denom[0]
-    low = level_start = float(levels.min())
-    best_ratio, best_factor = float((signal[0] / denom[0]).min()), factor
+    low = level_start = float(_min(levels))
+    best_ratio, best_factor = float(_min(signal[0] / denom[0])), factor
     anchor, flat = best_ratio, 0
     step = STEP_INIT
     improved = False
     steps = backtracks = 0
     early_stop = False
     for _ in range(INNER_ITERS):
-        mu = max(0.1 * (float(levels.max()) - low), 1e-9)
+        mu = max(0.1 * (float(_max(levels)) - low), 1e-9)
         weights = np.exp((low - levels) / mu)
-        total = float(weights.sum())
+        total = float(_sum(weights))
         current = low - mu * math.log(total)
-        grad = model.gradient(t, weights / total, coef)
-        radial = np.einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
+        # Wirtinger gradient w.r.t. conj(L) of the weights-averaged levels,
+        # then its projection on the tangent spaces of the row spheres
+        grad = pair_t @ (((weights / total)[:, None] * coef).reshape(-1, 1) * t)
+        radial = _einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
         grad -= radial[:, None] * factor
-        norm = math.sqrt(_row_sq_norms(grad).sum())
+        norm = math.sqrt(_sum(_row_sq_norms(grad)))
         if norm < 1e-14:
             break
         accepted = None
         for tried in range(0, STEP_TRIES, STEP_BATCH):
-            scales, length = [], step
-            for _ in range(min(STEP_BATCH, STEP_TRIES - tried)):
-                scales.append(length / norm)
-                length *= 0.5
-            candidates = _normalize_rows(factor + np.array(scales)[:, None, None] * grad, alpha)
+            # step, step/2, ...: halving by 0.5 is exact, so these are the lengths
+            # the replay below reaches by halving step one rejection at a time
+            scales = step * _HALVINGS[:STEP_TRIES - tried] / norm
+            candidates = _normalize_rows(factor + scales * grad, alpha)
             t_new, signal_new, denom_new = model.stats(candidates)
             levels_new = signal_new - lam * denom_new
-            lows, values = _softmins(levels_new, mu)
-            for j, value in enumerate(values):
-                if value > current + 1e-14:
+            # each candidate's minimum and smoothed minimum at temperature mu
+            lows = _min(levels_new, 1)
+            sums = _sum(np.exp((lows[:, None] - levels_new) / mu), 1).tolist()
+            lows = lows.tolist()
+            for j, mass in enumerate(sums):
+                if lows[j] - mu * math.log(mass) > current + 1e-14:
                     accepted = j
                     break
                 step *= 0.5
@@ -229,7 +253,7 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: flo
                                   lows[accepted])
         steps += 1
         step = min(step * STEP_GROW, STEP_MAX)
-        ratio = float((signal_new[accepted] / denom_new[accepted]).min())
+        ratio = float(_min(signal_new[accepted] / denom_new[accepted]))
         if ratio > best_ratio:
             best_ratio, best_factor = ratio, factor
             improved = True

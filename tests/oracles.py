@@ -1,7 +1,7 @@
 """Test-side references: finite differences, lifted forms, the post-combining
 report, the serial quant swap loop and its grid levels, the serial SDR line
-search, the per-element channel dump, the reference tau chain of the lse
-step and the sweeping random baseline.
+search and its level gradient, the per-element channel dump, the reference
+tau chain of the lse step and the sweeping random baseline.
 
 None of these is part of the library. Each is built from the library's
 primitives in the most direct way, so a test can hold the optimized
@@ -141,6 +141,13 @@ def _stats_2d(model, factor):
     return t, parts[:model.k], parts[model.k:] + model.noise
 
 
+def level_gradient(model, t, weights, coef):
+    """Wirtinger gradient w.r.t. conj(L) of the weights-averaged levels, from
+    the projections T = b_ki^H L and the (k, k) level coefficients at lam."""
+    folded = (weights[:, None] * coef).reshape(-1, 1)
+    return model.pair_t @ (folded * t)
+
+
 def serial_inner_ascent(model, factor, alpha, lam) -> _Ascent:
     """sdr._inner_ascent scoring one step length at a time, each on its own
     (n, r) factor: the line search tries step, step/2, ... and accepts the
@@ -162,7 +169,7 @@ def serial_inner_ascent(model, factor, alpha, lam) -> _Ascent:
         weights = np.exp((low - levels) / mu)
         total = weights.sum()
         current = float(low - mu * math.log(total))
-        grad = model.gradient(t, weights / total, coef)
+        grad = level_gradient(model, t, weights / total, coef)
         radial = np.einsum("ij,ij->i", grad.view(float), factor.view(float)) / alpha2
         grad -= radial[:, None] * factor
         norm = math.sqrt(_row_sq_norms_2d(grad).sum())

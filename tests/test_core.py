@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -57,6 +58,19 @@ def test_config_rejects_bad_values(kwargs):
 def test_phase_vector_rejects_bad_values(theta, alpha, message):
     with pytest.raises(ConfigurationError, match=message):
         PhaseVector(theta=theta, alpha=alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_phase_vector_rejects_non_finite_angles(bad):
+    """np.mod keeps a nan angle and turns an infinite one into nan with a
+    RuntimeWarning, so the check runs first and nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="theta contains non-finite angles"):
+            PhaseVector(theta=np.array([0.0, bad, np.pi]))
+        # np.angle of a nan coefficient is a nan angle; an infinite one fails the modulus check
+        with pytest.raises(ConfigurationError, match="non-finite angles|unit modulus"):
+            PhaseVector.from_phi(np.array([1.0, complex(bad, 0.0)]))
 
 
 @pytest.mark.parametrize("p", [[0.5, -1e-3], [[0.5, 0.5]]], ids=["negative", "2-d"])

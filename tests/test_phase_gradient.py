@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ris_maxmin import (ChannelRealization, PhaseVector, effective_channel,
                         lse_gradient_phase, sinr_phase_tangent)
+from ris_maxmin.errors import NumericError
 from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
                               max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
@@ -131,3 +135,30 @@ def test_lse_max_min_phase_climbs_the_power_controlled_minimum(rng):
         assert np.all(out.power.p <= caps)
         realized = post_bf_sinr(chan, out.phase, out.power, 1.0).minimum
         assert realized == pytest.approx(out.min_sinr, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("step", ["max-min", "frozen-power"])
+def test_a_non_finite_solver_iterate_is_a_numeric_error(monkeypatch, rng, step, bad):
+    """An L-BFGS-B iterate with a non-finite angle reaches the MMSE kernel's
+    finite check and fails as a NumericError (the CLI's exit 2), not as a
+    ConfigurationError of the phase it is built into. A nan angle gets there
+    silently; an infinite one after np.mod's invalid-value warning."""
+    chan = synth_channel(rng, 3, 4, 2)
+    phase = random_phase(rng, 4)
+
+    def minimize(fun, x0, **_):
+        x = x0.copy()
+        x[2] = bad
+        return fun(x)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="effective channel contains non-finite entries"):
+            if step == "max-min":
+                lse_max_min_phase(chan, phase, np.array([0.5, 0.5]), 1.0)
+            else:
+                lse_gradient_phase(chan, np.array([0.5, 0.5]), phase, 1.0)
+    expected = [] if np.isnan(bad) else ["invalid value encountered in remainder"]
+    assert sorted({str(w.message) for w in caught}) == expected

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,19 @@ def test_requires_grid_valued_init(rng):
     off_grid = PhaseVector(theta=np.full(4, 0.3), alpha=1.0)
     with pytest.raises(ConfigurationError):
         quantized_heuristic_phase(objective, off_grid, rng, QuantOptions(bits=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_init_angle_never_reaches_the_swaps(bad, rng):
+    """A nan angle once passed the on-grid check and took level 0, after a
+    RuntimeWarning from the level cast; now its PhaseVector is refused."""
+    _, objective = make_objective(rng, 3, 4, 2)
+    theta = phase_grid(2).copy()
+    theta[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="non-finite angles"):
+            quantized_heuristic_phase(objective, PhaseVector(theta=theta), rng, QuantOptions(bits=2))
 
 
 def test_single_element_single_user_keeps_init(rng):

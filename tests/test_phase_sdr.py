@@ -1,9 +1,12 @@
+import sys
+import types
+
 import numpy as np
 import pytest
 
 import oracles
-from ris_maxmin import (SystemConfig, build_quadratic_forms, sample_channel,
-                        sdr_dinkelbach_phase)
+from ris_maxmin import (SystemConfig, alternating_optimize, build_quadratic_forms,
+                        sample_channel, sdr_dinkelbach_phase)
 from ris_maxmin import sdr
 from ris_maxmin.phase import QuadraticFormSet
 from ris_maxmin.sdr import INNER_ITERS, STEP_TRIES, _LevelModel
@@ -102,7 +105,7 @@ def test_one_level_model_matches_the_coef_matrix_at_every_lam(rng):
                 levels, ratios, gradient, scale = coef_matrix_levels(forms, lam, factor, weights)
                 assert np.all(np.abs(signal - lam * denom - levels) <= 1e-12 * scale)
                 assert np.all(np.abs(signal / denom - ratios) <= 1e-12 * ratios)
-                ours = model.gradient(t, weights, model.coef(lam))
+                ours = oracles.level_gradient(model, t, weights, model.coef(lam))
                 assert np.abs(ours - gradient).max() <= 1e-12 * np.abs(gradient).max()
 
 
@@ -161,9 +164,9 @@ def test_stacked_line_search_exhausts_its_tries_like_the_serial_one(monkeypatch)
     forms, factor, alpha = ascent_instance(local, 3, 5, 2, 4, scale=1e-6)
     model = _LevelModel(forms)
     events = []
-    serial_stats, gradient = oracles._stats_2d, model.gradient
+    serial_stats, gradient = oracles._stats_2d, oracles.level_gradient
     monkeypatch.setattr(oracles, "_stats_2d", lambda *a: events.append("try") or serial_stats(*a))
-    monkeypatch.setattr(model, "gradient", lambda *a: events.append("search") or gradient(*a))
+    monkeypatch.setattr(oracles, "level_gradient", lambda *a: events.append("search") or gradient(*a))
     ref = serial_inner_ascent(model, factor, alpha, 0.5)
     monkeypatch.undo()
     last_search = events[len(events) - events[::-1].index("search"):]
@@ -191,6 +194,79 @@ def test_sdr_phase_matches_the_serial_line_search_field_by_field(monkeypatch):
                      "cold_restarts", "early_stops", "warning"):
             assert getattr(ours, name) == getattr(ref, name), name
         assert ours_next == ref_next
+
+
+def assert_same_solution(ours, ref):
+    """Every field of two alternating_optimize results but the wall time."""
+    assert np.array_equal(ours.bf.rows, ref.bf.rows)
+    assert np.array_equal(ours.power.p, ref.power.p)
+    assert np.array_equal(ours.phase.theta, ref.phase.theta)
+    assert np.array_equal(ours.report.per_user, ref.report.per_user)
+    assert ours.report.stage_trace == ref.report.stage_trace
+    assert np.array_equal(ours.p_cap, ref.p_cap)
+    for name in ("iterations", "method", "converged", "degenerate", "diagnostics"):
+        assert getattr(ours, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("m, n, k", [(12, 24, 2), (4, 3, 2), (3, 2, 1)],
+                         ids=["k2", "rank-n3", "rank-n2"])
+def test_alternating_sdr_matches_the_serial_line_search(monkeypatch, m, n, k):
+    """Two sweeps of the loop with the flat stacked ascent and with the serial
+    one give the same Solution and leave the rng at the same draw. At k=2 most
+    ascent steps are in cold restarts; below n=4 the factor rank is n."""
+    cfg = SystemConfig(m=m, n=n, k=k)
+    for seed in range(2):
+        chan = sample_channel(cfg, np.random.default_rng((1418, seed)))
+        runs, calls = [], []
+        for ascent in (sdr._inner_ascent, serial_inner_ascent):
+            monkeypatch.setattr(sdr, "_inner_ascent",
+                                lambda model, factor, *a, ascent=ascent: (
+                                    calls.append(factor.shape) or ascent(model, factor, *a)))
+            rng = np.random.default_rng((1419, seed))
+            runs.append((alternating_optimize(cfg, chan, "sdr", rng, max_sweeps=2), rng.random()))
+        (ours, ours_next), (ref, ref_next) = runs
+        assert_same_solution(ours, ref)
+        assert ours_next == ref_next
+        assert calls and set(calls) == {(n, min(n, max(4, k + 2)))}
+
+
+ROW_SQ_NORMS, RADIAL = "...ij,...ij->...i", "ij,ij->i"
+
+
+def test_the_bound_einsum_gives_np_einsums_bits_on_the_ascents_operands():
+    """Row norms of a factor, of a (c, n, r) stack of candidates and of their
+    (c, K*K, r) projections, and the radial dots of a gradient and a factor,
+    at every k in 1..6 and n in 1..29 with the ascent's rank."""
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert sdr._einsum is not np.einsum
+    local = np.random.default_rng(1420)
+    for k in range(1, 7):
+        for n in range(1, 30):
+            rank = min(n, max(4, k + 2))
+            scale = 10.0 ** local.uniform(-6, 6)
+            factor, grad = (scale * complex_normal(local, (n, rank)) for _ in range(2))
+            operands = [(ROW_SQ_NORMS, factor), (ROW_SQ_NORMS, grad),
+                        (RADIAL, grad, factor)]
+            for c in (1, sdr.STEP_BATCH):
+                operands.append((ROW_SQ_NORMS, complex_normal(local, (c, n, rank))))
+                operands.append((ROW_SQ_NORMS, scale * complex_normal(local, (c, k * k, rank))))
+            for subscripts, *arrays in operands:
+                if len(arrays) == 1:
+                    arrays *= 2
+                real = [a.view(float) for a in arrays]
+                assert np.array_equal(sdr._einsum(subscripts, *real), np.einsum(subscripts, *real))
+
+
+def test_the_einsum_binding_falls_back_to_the_public_function(monkeypatch):
+    """numpy.core.multiarray stands in when numpy._core.multiarray is missing,
+    and np.einsum when both are."""
+    monkeypatch.setitem(sys.modules, "numpy._core.multiarray", None)
+    stand_in = types.ModuleType("numpy.core.multiarray")
+    stand_in.c_einsum = object()
+    monkeypatch.setitem(sys.modules, "numpy.core.multiarray", stand_in)
+    assert sdr._bind_einsum() is stand_in.c_einsum
+    monkeypatch.setitem(sys.modules, "numpy.core.multiarray", None)
+    assert sdr._bind_einsum() is np.einsum
 
 
 def test_inner_ascents_stop_on_evidence():
