@@ -5,23 +5,22 @@ guarded: an update is kept only if the minimum SINR of the current operating
 point does not decrease, so the recorded stage trace is nondecreasing by
 construction. Every operating point is scored once, by GainTable.sinr on
 its own gain table: the loop keeps the table of the current phases and
-combiners, and the power step solves on it and reports the minimum its
-powers reach there. The phase step of every method returns one proposal
-(phases, powers, combiners) that one guard judges.
+combiners, and the power stage is scored there. The phase step of every
+method returns one proposal (phases, powers, combiners) that one guard
+judges.
 
-The smooth-min phase step ("lse") does not hold the powers fixed. With the
-powers frozen, power control leaves every SINR equal, and at such a tie no
-phase move raises the minimum; the loop would stall at a point that is not
-stationary for the joint problem. So the step maximizes tau(theta), the
-max-min SINR that power control reaches under the caps with MMSE
-combiners, and proposes the new phases together with those powers and
-combiners. The other phase methods optimize the fixed-combiner,
-fixed-power objective directly and propose new phases alone.
-
-"random-baseline" runs no sweeps. At its random phases tau(theta) is the
-joint optimum over combiners and powers, so one mmse_max_min_power call
-gives it; the MMSE combiners at those powers are scored through the same
-gain table and guard as one combiner stage and one power stage.
+At fixed phases the MMSE combiners and max-min power control have one joint
+optimum, tau(theta), and one mmse_max_min_power call gives it. "lse" and
+"random-baseline" sweep on that joint stage: the MMSE combiners read from
+tau's own factorization are its combiner stage and tau's powers its power
+stage. "random-baseline" keeps its random phases and stops there. The "lse"
+phase step does not hold the powers fixed either: with frozen powers every
+SINR ties after power control and no phase move raises the minimum, so it
+maximizes tau(theta) and proposes the new phases with tau's powers and
+combiners. "sdr" and "quant" optimize the fixed-combiner, fixed-power
+objective: their sweeps take the per-user optimal combiners at the current
+powers, the Perron power step (max_min_power) on that gain table, and a
+phase step that proposes new phases alone.
 """
 
 import math
@@ -103,59 +102,6 @@ def _scored(table, power: PowerAllocation, stage: str) -> float:
     return value
 
 
-def _solution(chan, sigma2, method, phase, power, bf, trace, sweeps, converged, p_cap,
-              diagnostics, started) -> Solution:
-    """The run's Solution, reporting every user's SINR at its final point."""
-    per_user = sinr_per_user(chan, phase, power, bf, sigma2).per_user
-    report = SinrReport(per_user=per_user, stage_trace=trace)
-    return Solution(
-        bf=bf,
-        power=power,
-        phase=phase,
-        report=report,
-        iterations=sweeps,
-        wall_time=time.perf_counter() - started,
-        method=method,
-        converged=converged,
-        degenerate=bool(report.minimum == 0.0),
-        p_cap=p_cap,
-        diagnostics=diagnostics,
-    )
-
-
-def _tau_baseline(config, chan, phase, p_cap, started) -> Solution:
-    """random-baseline at its phases: tau's powers from the caps and the MMSE
-    combiners at those powers (read from tau's own factorization), traced as
-    one combiner and one power stage.
-
-    The combiner stage scores the new combiners at the caps; the guarded
-    power stage keeps tau's powers, scored on the same gain table. The run
-    has converged when the reported SINRs are balanced to STALL_SPREAD (or
-    the point is degenerate)."""
-    sigma2 = config.sigma2
-    g = effective_channel(chan, phase)
-    result = mmse_max_min_power(g, p_cap, sigma2)
-    state = result.mmse_state
-    if state is None:   # degenerate: the caps are returned unfactored
-        state = post_bf_sinr_values(g, result.power.p, sigma2)
-    bf = mmse_combiners(g, state)
-    table = gain_table(chan, phase, bf, sigma2)
-    power = PowerAllocation(p_cap.copy())
-    current = _scored(table, power, "bf")
-    trace = [("bf", current)]
-    diagnostics = []
-    if result.degenerate:
-        diagnostics.append("sweep 1: degenerate gain table in the power step")
-    candidate = _scored(table, result.power, "power")
-    if candidate >= current:
-        power, current = result.power, candidate
-    trace.append(("power", current))
-    # current is the minimum of the kept powers' SINRs on this table
-    balanced = current == 0.0 or table.sinr(power.p).max() / current - 1.0 <= STALL_SPREAD
-    return _solution(chan, sigma2, "random-baseline", phase, power, bf, trace, 1, balanced,
-                     p_cap, diagnostics, started)
-
-
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
                          rng: np.random.Generator, tol: float = SWEEP_TOL,
                          max_sweeps: int = MAX_SWEEPS,
@@ -163,16 +109,16 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     """Maximize the minimum uplink SINR by block-coordinate sweeps.
 
     ``method`` selects the phase optimizer ("sdr", "lse", "quant") or
-    "random-baseline", which keeps the initial random phases and reports the
-    exact combiner-and-power optimum there: one mmse_max_min_power solve from
-    the caps and the MMSE combiners at its powers, as one sweep (it validates
-    ``tol`` and ``max_sweeps`` but needs neither). The loop stops when the
-    relative improvement of the minimum SINR over one sweep drops below
-    ``tol`` or after ``max_sweeps`` sweeps. Powers start at the
+    "random-baseline", which keeps the initial random phases and runs the
+    joint combiner-and-power stage once, from the caps: it reports tau
+    there, converged when its SINRs are balanced to STALL_SPREAD (it
+    validates ``tol`` and ``max_sweeps`` but needs neither). The loop stops
+    when the relative improvement of the minimum SINR over one sweep drops
+    below ``tol`` or after ``max_sweeps`` sweeps. Powers start at the
     exposure-folded cap so the first combiner update sees realistic
-    interference.
-    ``phase_options`` (QuantOptions) sets the bit depth of "quant"; the
-    other methods have no settings.
+    interference; each joint stage starts tau's solve from the current
+    powers. ``phase_options`` (QuantOptions) sets the bit depth of "quant";
+    the other methods have no settings.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -186,8 +132,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
         phase = grid_phase_from_uniform(rng.random(config.n), bits, config.alpha)
     else:
         phase = PhaseVector.random(config.n, config.alpha, rng)
-    if method == "random-baseline":
-        return _tau_baseline(config, chan, phase, p_cap, started)
+    joint = method in ("lse", "random-baseline")
 
     diagnostics: list[str] = []
     # the first combiner stage is always kept, so no operating point is scored
@@ -197,24 +142,38 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     current = -np.inf
     trace: list[tuple[str, float]] = []
     converged = False
-    sweeps = 0
     previous = None
     for sweeps in range(1, max_sweeps + 1):
-        # combiner step: per-user optimal, so the minimum cannot drop
-        bf_new = optimal_beamformers(chan, phase, power, sigma2)
+        # combiner step: the MMSE combiners at tau's powers (joint stage) or
+        # at the current powers, per-user optimal either way
+        if joint:
+            g = effective_channel(chan, phase)
+            result = mmse_max_min_power(g, p_cap, sigma2, start=power.p)
+            state = result.mmse_state
+            if state is None:   # degenerate: the caps are returned unfactored
+                state = post_bf_sinr_values(g, result.power.p, sigma2)
+            bf_new = mmse_combiners(g, state)
+        else:
+            bf_new = optimal_beamformers(chan, phase, power, sigma2)
         table_new = gain_table(chan, phase, bf_new, sigma2)
         candidate = _scored(table_new, power, "bf")
         if candidate >= current:
             bf, table, current = bf_new, table_new, candidate
         trace.append(("bf", current))
 
-        # power step: the previous powers stay feasible, so the optimum is no worse
-        result = max_min_power(table, p_cap)
+        # power step, scored on the kept table: tau's powers or the Perron optimum there
+        if not joint:
+            result = max_min_power(table, p_cap)
         if result.degenerate:
             diagnostics.append(f"sweep {sweeps}: degenerate gain table in the power step")
-        if result.tau >= current:
-            power, current = result.power, result.tau
+        candidate = _scored(table, result.power, "power")
+        if candidate >= current:
+            power, current = result.power, candidate
         trace.append(("power", current))
+        if method == "random-baseline":
+            # current is the minimum of the kept powers' SINRs on this table
+            converged = current == 0.0 or table.sinr(power.p).max() / current - 1.0 <= STALL_SPREAD
+            break
 
         # phase step, guarded against any decrease of the minimum
         phase_new, power_new, bf_new, warning = _phase_proposal(
@@ -233,5 +192,8 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             break
         previous = current
 
-    return _solution(chan, sigma2, method, phase, power, bf, trace, sweeps, converged, p_cap,
-                     diagnostics, started)
+    report = SinrReport(per_user=sinr_per_user(chan, phase, power, bf, sigma2).per_user,
+                        stage_trace=trace)
+    return Solution(bf=bf, power=power, phase=phase, report=report, iterations=sweeps,
+                    wall_time=time.perf_counter() - started, method=method, converged=converged,
+                    degenerate=bool(report.minimum == 0.0), p_cap=p_cap, diagnostics=diagnostics)

@@ -69,11 +69,12 @@ def _check_sigma2(sigma2) -> None:
         raise ConfigurationError(f"sigma2 must be finite and positive, got {sigma2}")
 
 
-def _check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+def _check_count(name: str, value, low: float = 1, high: int | None = None) -> int:
     """``value`` as an int; ConfigurationError naming ``name`` unless it is a
     whole number of at least ``low`` and, when ``high`` is set, at most
-    ``high``. Every count and bit depth the library takes is held to it; a
-    bool is a truth value, not a count, and is rejected too."""
+    ``high``. Every count, bit depth and seed the library takes is held to
+    it (a seed with ``low=-inf``); a bool is a truth value, not a count, and
+    is rejected too."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
     if high is None and value < low:
@@ -155,9 +156,15 @@ class SystemConfig:
             if not np.all(arr > 0.0):
                 raise ConfigurationError(f"{name} entries must be positive, got {arr.tolist()}")
             object.__setattr__(self, name, arr)
-        # an infinite SAR reference makes a zero power cap; an infinite emf_max leaves p_max
+        # an infinite SAR reference makes a zero power cap; an infinite emf_max
+        # leaves p_max, which must then be finite
         if not np.all(np.isfinite(self.sar_ref)):
             raise ConfigurationError(f"sar_ref entries must be finite, got {self.sar_ref.tolist()}")
+        cap = np.minimum(self.p_max, self.emf_max / self.sar_ref)
+        if not np.all(np.isfinite(cap)):
+            raise ConfigurationError(
+                f"p_max and emf_max must not both be infinite: the power cap "
+                f"min(p_max, emf_max / sar_ref) is {cap.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)

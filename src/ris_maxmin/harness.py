@@ -16,14 +16,12 @@ import csv
 import hashlib
 import io
 import itertools
-import math
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .alternating import (MAX_SWEEPS, METHODS, SWEEP_TOL, Solution,
-                          _check_sweep_settings, alternating_optimize)
+from .alternating import MAX_SWEEPS, METHODS, SWEEP_TOL, _check_sweep_settings, alternating_optimize
 from .channel import dump_channel_text, sample_channel
 from .core import SystemConfig, _check_count, db10
 from .errors import ConfigurationError
@@ -46,6 +44,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "trials", _check_count("trials", self.trials))
+        # any sign: the seed only enters derive_trial_seed's mix
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, low=-np.inf))
         _check_sweep_settings(self.tol, self.max_sweeps)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
@@ -253,17 +253,6 @@ def _channel_hash(chan) -> str:
     return hashlib.sha256(dump_channel_text(chan).encode("utf-8")).hexdigest()[:16]
 
 
-def _method_runs(plan: ExperimentPlan):
-    """Expand the method list: the quantized method gets one run per bit depth."""
-    runs = []
-    for method in plan.methods:
-        if method == "quant":
-            runs.extend(("quant", b) for b in plan.b_grid)
-        else:
-            runs.append((method, None))
-    return runs
-
-
 def trial_channel(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
                   trial_index: int):
     """The draw of trial ``trial_index`` at grid point ``grid_index``, whose
@@ -280,38 +269,26 @@ def trial_channel(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
 
 def run_trial(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
               trial_index: int) -> list:
-    """Run every planned method on one shared channel draw; returns records."""
+    """Run every planned method on one shared channel draw, the quantized
+    method once per bit depth; returns one record per run."""
     _, trial_seed, chan, method_stream = trial_channel(scenario, plan, grid_index, trial_index)
     chash = _channel_hash(chan)
     records = []
-    for method, bits in _method_runs(plan):
-        rng = np.random.default_rng(method_stream[method])
-        solution = alternating_optimize(
-            scenario, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
-            phase_options=None if bits is None else QuantOptions(bits=bits))
-        records.append(_record_from_solution(solution, trial_seed, scenario, method, bits, chash))
+    for method in plan.methods:
+        for bits in plan.b_grid if method == "quant" else (None,):
+            rng = np.random.default_rng(method_stream[method])
+            solution = alternating_optimize(
+                scenario, chan, method, rng, tol=plan.tol, max_sweeps=plan.max_sweeps,
+                phase_options=None if bits is None else QuantOptions(bits=bits))
+            minimum = solution.report.minimum
+            records.append(TrialRecord(
+                seed=trial_seed, k=scenario.k, m=scenario.m, n=scenario.n, method=method,
+                bits=bits, min_sinr_linear=minimum, min_sinr_db=float(db10(minimum)),
+                per_user_sinrs=tuple(solution.report.per_user), sweeps=solution.iterations,
+                wall_time_seconds=solution.wall_time, p_cap_used=tuple(solution.p_cap),
+                degenerate=solution.degenerate, channel_hash=chash,
+                diagnostics="; ".join(solution.diagnostics)))
     return records
-
-
-def _record_from_solution(solution: Solution, trial_seed, config: SystemConfig, method, bits,
-                          chash) -> TrialRecord:
-    minimum = solution.report.minimum
-    return TrialRecord(
-        seed=trial_seed, k=config.k, m=config.m, n=config.n, method=method, bits=bits,
-        min_sinr_linear=minimum,
-        min_sinr_db=float(db10(minimum)) if minimum > 0 else -math.inf,
-        per_user_sinrs=tuple(solution.report.per_user),
-        sweeps=solution.iterations,
-        wall_time_seconds=solution.wall_time,
-        p_cap_used=tuple(solution.p_cap),
-        degenerate=solution.degenerate,
-        channel_hash=chash,
-        diagnostics="; ".join(solution.diagnostics),
-    )
-
-
-def _run_trial_task(args):
-    return run_trial(*args)
 
 
 def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
@@ -340,9 +317,9 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            batches = pool.map(_run_trial_task, tasks, chunksize=1)
+            batches = pool.map(run_trial, *zip(*tasks), chunksize=1)
         else:
-            batches = map(_run_trial_task, tasks)
+            batches = map(run_trial, *zip(*tasks))
         # map and pool.map both yield in task order
         for done, batch in enumerate(batches, start=1):
             records.extend(batch)

@@ -208,10 +208,16 @@ def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:
 
     Each user's cap is min(p_max, emf_max_k / sar_ref_k): exposure is
     sar_ref_k watts-per-kilogram per transmitted watt, so the quotient is the
-    largest power that keeps exposure within emf_max_k.
+    largest power that keeps exposure within emf_max_k. A sar_ref entry
+    that is not positive, or a cap that is not positive (nan included),
+    raises DomainError.
     """
     sar = np.atleast_1d(np.asarray(sar_ref, dtype=float))
     emf = np.atleast_1d(np.asarray(emf_max, dtype=float))
     if np.any(sar <= 0):
         raise DomainError("sar_ref must be positive")
-    return np.minimum(p_max, emf / sar)
+    cap = np.minimum(p_max, emf / sar)
+    if not np.all(cap > 0.0):
+        raise DomainError(
+            f"power caps min(p_max, emf_max / sar_ref) must be positive, got {cap.tolist()}")
+    return cap

@@ -117,6 +117,42 @@ def test_random_baseline_is_one_tau_solve_at_its_phases(m, n, k):
         assert trace[0][1] <= trace[1][1] == sol.report.minimum
 
 
+@pytest.mark.parametrize("m, n, k", [(12, 24, 2), (12, 24, 6), (2, 6, 5)])
+def test_lse_opens_with_the_random_baseline_stage(m, n, k):
+    # lse sweeps on the joint tau stage that random-baseline runs once; the
+    # last shape has more users than antennas
+    cfg = SystemConfig(m=m, n=n, k=k)
+    for seed in range(2):
+        chan = sample_channel(cfg, np.random.default_rng((1, seed)))
+        baseline = alternating_optimize(cfg, chan, "random-baseline", np.random.default_rng((2, seed)))
+        lse = alternating_optimize(cfg, chan, "lse", np.random.default_rng((2, seed)), max_sweeps=1)
+        assert list(lse.report.stage_trace[:2]) == list(baseline.report.stage_trace), seed
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_sweep_makes_one_power_solve_of_its_kind(method, monkeypatch):
+    # sdr and quant keep the Perron step on their fixed combiners; lse and
+    # random-baseline solve tau once per sweep (lse's phase step solves its
+    # own through the phase module, which is not counted here)
+    calls = {"max_min_power": 0, "mmse_max_min_power": 0}
+
+    def counted(name):
+        original = getattr(alternating, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(alternating, name, counted(name))
+    sol = alternating_optimize(SMALL, small_channel(50), method, np.random.default_rng(51),
+                               max_sweeps=3)
+    joint = method in ("lse", "random-baseline")
+    assert calls == {"max_min_power": 0 if joint else sol.iterations,
+                     "mmse_max_min_power": sol.iterations if joint else 0}
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_random_baseline_never_falls_below_the_sweeping_loop(k):
     # the loop of combiner and Perron stages that stops on tol can stop short of tau

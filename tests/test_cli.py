@@ -65,6 +65,7 @@ REJECTIONS = {
     "b_grid: 3, 3": "b_grid must not repeat an entry, got (3, 3)",
     "gain_bs_dbi: nan": "gain_bs_dbi must be finite", "gain_bs_dbi: 1e308": "gain_bs_dbi must be finite",
     "sar_ref: inf": "sar_ref entries must be finite", "r_max_m: inf": "r_max must be finite",
+    "p_max_w: inf\nemf_max: inf": "p_max and emf_max must not both be infinite",
     # a per-user list that cannot follow the k_grid point k=3
     "sar_ref: 63e-4, 50e-4\nk_grid: 2, 3":
         "grid point k=3, m=3, n=4: per-user arrays of length 2 cannot be rescaled to k=3",

@@ -51,6 +51,21 @@ def test_config_rejects_bad_values(kwargs):
         SystemConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(m=1, n=1, k=1, p_max=np.inf, emf_max=np.inf),
+    dict(m=1, n=1, k=2, p_max=np.inf, emf_max=(0.0029, np.inf)),
+])
+def test_config_rejects_an_infinite_power_cap(kwargs):
+    # min(p_max, emf_max / sar_ref) is the cap every power solver takes
+    with pytest.raises(ConfigurationError, match="p_max and emf_max must not both be infinite"):
+        SystemConfig(**kwargs)
+
+
+def test_config_takes_one_infinite_cap_term():
+    assert SystemConfig(m=1, n=1, k=1, p_max=np.inf).p_max == np.inf
+    assert np.all(SystemConfig(m=1, n=1, k=2, emf_max=np.inf).emf_max == np.inf)
+
+
 @pytest.mark.parametrize("theta, alpha, message", [
     (np.zeros((2, 2)), 1.0, "theta must be a 1-d array"),
     (np.zeros(3), 1.5, r"alpha must lie in \(0, 1\], got 1.5"),

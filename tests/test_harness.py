@@ -113,13 +113,16 @@ def test_bad_method_rejected():
     (dict(k_grid=(2,), m_grid=(3,), n_grid=(4,), b_grid=()), "b_grid"),
     (dict(trials=1.5, k_grid=(2,), m_grid=(3,), n_grid=(4,)), "trials"),
     (dict(k_grid=(2.5,), m_grid=(3,), n_grid=(4,)), "k_grid entries"),
+    *((dict(seed=seed, k_grid=(2,), m_grid=(3,), n_grid=(4,)), "seed") for seed in (1.5, "5", True)),
 ])
 def test_an_empty_plan_is_rejected(kwargs, key):
     """A plan built in code with an empty method list or grid would run
-    nothing and return no rows, and a fractional trial count or grid entry
-    would fail mid-run or run another scenario than its CSV names; each is
-    rejected, naming the key."""
-    rule = "must be a whole number" if key in ("trials", "k_grid entries") else "must not be empty"
+    nothing and return no rows, a fractional trial count or grid entry
+    would fail mid-run or run another scenario than its CSV names, and a
+    seed that is not a whole number would fail mid-run or not round-trip
+    through dump_config; each is rejected, naming the key."""
+    rule = ("must be a whole number" if key in ("trials", "k_grid entries", "seed")
+            else "must not be empty")
     with pytest.raises(ConfigurationError, match=f"{key} {rule}"):
         ExperimentPlan(**{"trials": 2, "seed": 1, **kwargs})
 
@@ -141,6 +144,15 @@ def test_a_plan_built_in_code_gets_the_sweep_checks():
         ExperimentPlan(trials=1, seed=1, max_sweeps=2.5, **grid)
     with pytest.raises(ConfigurationError, match="tol must be >= 0, got nan"):
         ExperimentPlan(trials=1, seed=1, tol=float("nan"), **grid)
+
+
+def test_a_seed_of_any_sign_runs_and_round_trips():
+    config, plan = parse_config_text(MINIMAL)
+    for seed in (-3, np.int64(4)):
+        plan = replace(plan, seed=seed, methods=("random-baseline",), trials=1)
+        assert type(plan.seed) is int
+        assert parse_config_text(dump_config(config, plan))[1] == plan
+        assert run_experiment(config, plan)[0].seed == derive_trial_seed(int(seed), 0, 0)
 
 
 def test_round_trip(tmp_path):

@@ -208,6 +208,15 @@ def test_effective_cap_rejects_bad_sar():
         effective_power_cap(0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("p_max, sar, emf", [
+    (0.5, 63e-4, -1.0), (-1.0, 63e-4, 0.0029), (0.5, np.nan, 0.0029),
+    (0.5, 63e-4, np.nan), (np.nan, 63e-4, 0.0029),
+])
+def test_effective_cap_rejects_caps_that_are_not_positive(p_max, sar, emf):
+    with pytest.raises(DomainError, match="power caps"):
+        effective_power_cap(p_max, sar, emf)
+
+
 def test_fixed_point_infeasible_tau():
     f = np.array([[1.0, 5.0], [5.0, 1.0]])
     n = np.array([1.0, 1.0])
