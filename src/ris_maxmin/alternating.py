@@ -10,17 +10,17 @@ method returns one proposal (phases, powers, combiners) that one guard
 judges.
 
 At fixed phases the MMSE combiners and max-min power control have one joint
-optimum, tau(theta), and one mmse_max_min_power call gives it. "lse" and
-"random-baseline" sweep on that joint stage: the MMSE combiners read from
-tau's own factorization are its combiner stage and tau's powers its power
-stage. "random-baseline" keeps its random phases and stops there. The "lse"
-phase step does not hold the powers fixed either: with frozen powers every
-SINR ties after power control and no phase move raises the minimum, so it
-maximizes tau(theta) and proposes the new phases with tau's powers and
-combiners. "sdr" and "quant" optimize the fixed-combiner, fixed-power
-objective: their sweeps take the per-user optimal combiners at the current
-powers, the Perron power step (max_min_power) on that gain table, and a
-phase step that proposes new phases alone.
+optimum, tau(theta): a tau point, one mmse_max_min_power result carrying
+its powers, tau and factorization, from which mmse_combiners reads its
+combiners. "lse" and "random-baseline" sweep on that joint stage; the
+latter keeps its random phases and stops there. The "lse" phase step does
+not hold the powers fixed either: with frozen powers every SINR ties after
+power control and no phase move raises the minimum, so it maximizes
+tau(theta) and proposes the tau point it returns. "sdr" and "quant"
+optimize the fixed-combiner, fixed-power objective: their sweeps take the
+per-user optimal combiners at the current powers (optimal_beamformers),
+the Perron power step (max_min_power) on that gain table, and a phase step
+that proposes new phases alone.
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import mmse_combiners, optimal_beamformers, post_bf_sinr_values
+from .beamforming import mmse_combiners, optimal_beamformers
 from .core import (Beamformer, ChannelRealization, PhaseVector, PowerAllocation,
                    SinrReport, SystemConfig, _check_count, effective_channel, gain_table,
                    sinr_per_user)
@@ -72,9 +72,9 @@ def _phase_proposal(method, config, chan, phase, power, bf, p_cap, rng, phase_op
         if warning is None and not out.converged:
             warning = f"lse phase step stopped unconverged after {out.iterations} iterations"
         # the step is judged on the SINR after power control, so it proposes
-        # the new phase together with the powers and combiners that realize it
-        bf = optimal_beamformers(chan, out.phase, out.power, sigma2)
-        return out.phase, out.power, bf, warning
+        # the new phase with its tau point's powers and combiners
+        tau_point = out.power_control
+        return out.phase, tau_point.power, mmse_combiners(tau_point.mmse_state), warning
     forms = build_quadratic_forms(chan, bf, power, sigma2)
     if method == "sdr":
         out = sdr_dinkelbach_phase(forms, config.alpha, phase, rng)
@@ -147,12 +147,9 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
         # combiner step: the MMSE combiners at tau's powers (joint stage) or
         # at the current powers, per-user optimal either way
         if joint:
-            g = effective_channel(chan, phase)
-            result = mmse_max_min_power(g, p_cap, sigma2, start=power.p)
-            state = result.mmse_state
-            if state is None:   # degenerate: the caps are returned unfactored
-                state = post_bf_sinr_values(g, result.power.p, sigma2)
-            bf_new = mmse_combiners(g, state)
+            result = mmse_max_min_power(effective_channel(chan, phase), p_cap, sigma2,
+                                        start=power.p)
+            bf_new = mmse_combiners(result.mmse_state)
         else:
             bf_new = optimal_beamformers(chan, phase, power, sigma2)
         table_new = gain_table(chan, phase, bf_new, sigma2)

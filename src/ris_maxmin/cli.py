@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
-    run.add_argument("--threads", type=int, default=1, help="worker processes for parallel trials")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker processes for parallel trials (N >= 1)")
     run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     validate = sub.add_parser("validate", help="parse and validate a config file")
@@ -51,8 +52,8 @@ def _cmd_run(args) -> int:
         if not args.quiet:
             print(f"\rtrials {done}/{total}", end="", file=sys.stderr, flush=True)
 
-    records = run_experiment(config, plan, out_path=args.out,
-                             workers=max(1, args.threads), progress=progress)
+    records = run_experiment(config, plan, out_path=args.out, workers=args.threads,
+                             progress=progress)
     if not args.quiet:
         print(file=sys.stderr)
     print(f"wrote {len(records)} rows to {args.out}")

@@ -18,7 +18,8 @@ by _trusted instead, which skips those checks; a class with derived fields
 forms them in one _derive that both paths run. The trusted values: the
 L-BFGS-B iterates of the lse steps (a non-finite angle there is a
 NumericError of the MMSE kernel, not a ConfigurationError), the unit-norm
-rows of beamforming.optimal_beamformers, the max-min powers of
+rows of beamforming.mmse_combiners, which builds every MMSE combiner
+(optimal_beamformers' and each tau point's), the max-min powers of
 power.mmse_max_min_power, a gain table of a Beamformer (gain_table skips
 the gain scan, since unit rows make every noise term sigma2 > 0 and
 |b^H g|^2 is never negative), the forms of phase.build_quadratic_forms
@@ -302,12 +303,15 @@ def _trusted(cls, **values):
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Unit-norm receive combiners, one length-m row per user."""
+    """Unit-norm receive combiners, one length-m row per user; a row with a
+    non-finite entry is rejected before its norm is taken."""
 
     rows: np.ndarray
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=complex))
+        if not np.isfinite(rows).all():
+            raise ConfigurationError("combiner rows must be finite")
         norms = np.linalg.norm(rows, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-10):
             raise ConfigurationError(

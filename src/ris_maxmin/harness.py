@@ -164,17 +164,24 @@ def load_config(path):
         return parse_config_text(handle.read())
 
 
+def _text(value, sep: str) -> str:
+    """dump_config's and the CSV's text rule: floats to 17 significant digits,
+    sequences joined by ``sep``, None empty, a flag 1 or 0, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return sep.join(_text(v, sep) for v in value)
+    return str(value)
+
+
 def dump_config(config: SystemConfig, plan: ExperimentPlan) -> str:
     """Serialize a (config, plan) pair; parsing the output reproduces it."""
-    def fmt(value):
-        if isinstance(value, (tuple, list, np.ndarray)):
-            return ", ".join(fmt(v) for v in value)
-        if isinstance(value, float):
-            return f"{value:.17g}"
-        return str(value)
-
     sources = {SystemConfig: config, ExperimentPlan: plan}
-    return "".join(f"{key}: {fmt(getattr(sources[owner], name))}\n"
+    return "".join(f"{key}: {_text(getattr(sources[owner], name), ', ')}\n"
                    for key, (owner, name, _) in CONFIG_KEYS.items())
 
 
@@ -199,23 +206,10 @@ class TrialRecord:
     diagnostics: str
 
     def to_row(self) -> list:
-        return [
-            str(self.seed), str(self.k), str(self.m), str(self.n), self.method,
-            "" if self.bits is None else str(self.bits),
-            _g17(self.min_sinr_linear), _g17(self.min_sinr_db),
-            ";".join(_g17(v) for v in self.per_user_sinrs),
-            str(self.sweeps), _g17(self.wall_time_seconds),
-            ";".join(_g17(v) for v in self.p_cap_used),
-            "1" if self.degenerate else "0",
-            self.channel_hash, self.diagnostics,
-        ]
+        return [_text(getattr(self, column), ";") for column in CSV_COLUMNS]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
-
-
-def _g17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def derive_trial_seed(base_seed: int, grid_index: int, trial_index: int) -> int:
@@ -300,8 +294,11 @@ def run_experiment(config: SystemConfig, plan: ExperimentPlan, out_path=None,
     scenario cannot be built fails the run before the CSV is opened. Each
     trial's rows are written and flushed as the trial finishes, so a run
     that raises partway leaves the rows of every trial before the failing
-    one. Returns the records.
+    one. ``workers`` is a whole number >= 1 (ConfigurationError before
+    the CSV is opened otherwise); above 1 the trials run in that many
+    processes. Returns the records.
     """
+    _check_count("workers", workers)
     tasks = [(scenario, plan, gi, ti) for gi, scenario in enumerate(_grid_scenarios(config, plan))
              for ti in range(plan.trials)]
 

@@ -44,11 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import post_bf_sinr_values
-from .core import (TWO_PI, ChannelRealization, PhaseVector, PowerAllocation,
-                   _bf_matrix, _check_count, _check_sigma2, _power_array, _trusted,
-                   effective_channel)
+from .core import (TWO_PI, ChannelRealization, PhaseVector, _bf_matrix, _check_count,
+                   _check_sigma2, _power_array, _trusted, effective_channel)
 from .errors import ConfigurationError, DomainError
-from .power import _balance_system, mmse_max_min_power
+from .power import PowerControlResult, _balance_system, mmse_max_min_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +267,9 @@ class LseResult:
     """Outcome of a smooth-min phase step: the best phase seen, its minimum
     SINR, and L-BFGS-B's iteration count and convergence flag.
 
-    ``power`` holds the max-min powers that go with ``phase`` when the step
-    re-optimizes them (lse_max_min_phase), and is None for the frozen-power
-    step.
+    ``power_control`` is the mmse_max_min_power result at ``phase`` (its
+    powers, tau and factorization) when the step re-optimizes the powers
+    (lse_max_min_phase), and is None for the frozen-power step.
     """
 
     phase: PhaseVector
@@ -278,7 +277,7 @@ class LseResult:
     iterations: int
     converged: bool
     warning: str | None = None
-    power: PowerAllocation | None = None
+    power_control: PowerControlResult | None = None
 
 
 def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
@@ -335,7 +334,7 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     from the first-order prediction p_best + (dp/dtheta) (theta - theta_best)
     at the best phase so far, from the slope that the same tangent solve
     gives (_predicted_start); the start changes the step count, not tau.
-    Returns the best phase seen with its max-min powers, never worse than
+    Returns the best phase seen with its tau point, never worse than
     ``init``.
     """
     import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
@@ -345,24 +344,24 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     _, start, slope = max_min_sinr_tangent(chan, init, cap, sigma2)
     if start.degenerate:
         return LseResult(init, start.tau, 0, False,
-                         warning="degenerate SINR at the initial phase", power=start.power)
+                         warning="degenerate SINR at the initial phase", power_control=start)
 
-    best = {"tau": start.tau, "theta": init.theta, "power": start.power, "slope": slope}
+    best = {"result": start, "theta": init.theta, "slope": slope}
 
     def neg_log_tau(theta):
-        guess = _predicted_start(best["power"].p, best["slope"], theta - best["theta"])
+        guess = _predicted_start(best["result"].power.p, best["slope"], theta - best["theta"])
         grad, result, slope = max_min_sinr_tangent(chan, _iterate_phase(theta, alpha),
                                                    cap, sigma2, start=guess)
         if result.tau <= 0.0:
             return np.inf, np.zeros_like(theta)
-        if result.tau > best["tau"]:
-            best.update(tau=result.tau, theta=theta.copy(), power=result.power, slope=slope)
+        if result.tau > best["result"].tau:
+            best.update(result=result, theta=theta.copy(), slope=slope)
         return -np.log(result.tau), -grad / result.tau
 
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
                                   options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
-    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["tau"],
-                     int(out.nit), bool(out.success), power=best["power"])
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["result"].tau,
+                     int(out.nit), bool(out.success), power_control=best["result"])
 
 
 def phase_grid(bits: int) -> np.ndarray:
@@ -373,11 +372,16 @@ def phase_grid(bits: int) -> np.ndarray:
 
 
 def grid_phase_from_uniform(u: np.ndarray, bits: int, alpha: float) -> PhaseVector:
-    """Map uniform(0,1) draws onto the quantized grid; coarser grids of the
-    same draws are coarsenings of finer ones, which pairs runs across bit
-    depths."""
+    """Map uniform draws in [0, 1] onto the quantized grid (a draw of 1 takes
+    the last level); coarser grids of the same draws are coarsenings of finer
+    ones, which pairs runs across bit depths. A draw outside [0, 1], nan
+    included, raises ConfigurationError."""
     grid = phase_grid(bits)
-    idx = np.minimum((np.asarray(u) * grid.size).astype(int), grid.size - 1)
+    u = np.asarray(u, dtype=float)
+    outside = ~((0.0 <= u) & (u <= 1.0))
+    if outside.any():
+        raise ConfigurationError(f"uniform draws must lie in [0, 1], got {u[outside].tolist()}")
+    idx = np.minimum((u * grid.size).astype(int), grid.size - 1)
     return PhaseVector(theta=grid[idx], alpha=alpha)
 
 

@@ -62,8 +62,8 @@ STALL_STEPS = 2             # without a new best spread also end the call
 class PowerControlResult(NamedTuple):
     """Max-min powers, the minimum SINR they achieve and a degeneracy flag.
 
-    ``mmse_state`` is the MMSE factorization at the returned powers when
-    mmse_max_min_power computed them (beamforming._MmseState), else None.
+    ``mmse_state`` is the MMSE factorization at the returned powers
+    (beamforming._MmseState) on every mmse_max_min_power result, else None.
     """
 
     power: PowerAllocation
@@ -166,17 +166,18 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
     within the caps with the binding user at its cap, and tau is the
     minimum SINR they achieve under the MMSE combiners. A user with a zero
     effective channel makes the problem degenerate: the caps are returned
-    with tau = 0. A sigma2, cap or start power that is not positive and
-    finite, or a cap or start of the wrong shape, raises ConfigurationError
-    before the first factorization; a non-finite channel raises
-    NumericError from the kernel.
+    with tau = 0 and their factorization. A sigma2, cap or start power that
+    is not positive and finite, or a cap or start of the wrong shape, raises
+    ConfigurationError before the first factorization; a non-finite channel
+    raises NumericError from the kernel.
     """
     k = g.shape[1]
     _check_sigma2(sigma2)
     cap = _checked_powers(p_cap, k, "power caps")
     p = cap if start is None else _checked_powers(start, k, "start powers")
     if ((np.abs(g) ** 2).sum(axis=0) == 0.0).any():
-        return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
+        return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True,
+                                  post_bf_sinr_values(g, cap, sigma2))
 
     p = np.minimum(cap, p / (p / cap).max())
     previous = best_spread = np.inf

@@ -56,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PhaseVector, _trusted
+from .errors import ConfigurationError
 from .phase import QuadraticFormSet
 
 _TINY = 1e-300
@@ -281,8 +282,11 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     and score the rounded candidates; the returned phase scores no lower
     than the incoming one, and no higher than ``feasible_value``. The
     settings are the module constants; the factor rank is
-    min(n, max(4, k + 2)).
+    min(n, max(4, k + 2)). ``alpha`` must be ``init.alpha``, the amplitude
+    both values are scored at (ConfigurationError otherwise).
     """
+    if alpha != init.alpha:
+        raise ConfigurationError(f"alpha {alpha} differs from the initial phase's {init.alpha}")
     n = init.n
 
     # Condition the quadratic forms to O(1) so step sizes are scale-free.

@@ -282,7 +282,8 @@ def reference_mmse_max_min_power(g, p_cap, sigma2, start=None) -> PowerControlRe
     """power.mmse_max_min_power on reference_mmse_state, for valid inputs."""
     cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     if np.any(np.sum(np.abs(g) ** 2, axis=0) == 0.0):
-        return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True)
+        return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True,
+                                  reference_mmse_state(g, cap, sigma2))
     p = cap.copy() if start is None else np.asarray(start, dtype=float)
     p = np.minimum(cap, p / np.max(p / cap))
     previous = best_spread = np.inf
@@ -336,25 +337,25 @@ def reference_lse_max_min_phase(chan, init, p_cap, sigma2) -> LseResult:
     _, start, slope = reference_max_min_sinr_tangent(chan, init, cap, sigma2)
     if start.degenerate:
         return LseResult(init, start.tau, 0, False,
-                         warning="degenerate SINR at the initial phase", power=start.power)
-    best = {"tau": start.tau, "theta": init.theta, "power": start.power, "slope": slope}
+                         warning="degenerate SINR at the initial phase", power_control=start)
+    best = {"result": start, "theta": init.theta, "slope": slope}
 
     def neg_log_tau(theta):
-        predicted = best["power"].p + best["slope"] @ (
-            np.mod(theta - best["theta"] + np.pi, TWO_PI) - np.pi)
-        guess = predicted if np.all(predicted > 0.0) else best["power"].p
+        p = best["result"].power.p
+        predicted = p + best["slope"] @ (np.mod(theta - best["theta"] + np.pi, TWO_PI) - np.pi)
+        guess = predicted if np.all(predicted > 0.0) else p
         grad, result, slope = reference_max_min_sinr_tangent(
             chan, PhaseVector(theta=theta, alpha=alpha), cap, sigma2, start=guess)
         if result.tau <= 0.0:
             return np.inf, np.zeros_like(theta)
-        if result.tau > best["tau"]:
-            best.update(tau=result.tau, theta=theta.copy(), power=result.power, slope=slope)
+        if result.tau > best["result"].tau:
+            best.update(result=result, theta=theta.copy(), slope=slope)
         return -np.log(result.tau), -grad / result.tau
 
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
                                   options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
-    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["tau"],
-                     int(out.nit), bool(out.success), power=best["power"])
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["result"].tau,
+                     int(out.nit), bool(out.success), power_control=best["result"])
 
 
 def sweeping_random_baseline(config, chan, rng, tol=1e-4, max_sweeps=30):

@@ -14,7 +14,9 @@ from ris_maxmin import PhaseVector, alternating, max_min_power, phase, power
 from ris_maxmin.alternating import METHODS
 from ris_maxmin.core import ChannelRealization, GainTable, gain_table
 from ris_maxmin.errors import NumericError
-from ris_maxmin.power import mmse_max_min_power
+from ris_maxmin.beamforming import mmse_combiners, optimal_beamformers
+from ris_maxmin.phase import lse_max_min_phase
+from ris_maxmin.power import effective_power_cap, mmse_max_min_power
 
 from oracles import sweeping_random_baseline
 
@@ -151,6 +153,48 @@ def test_each_sweep_makes_one_power_solve_of_its_kind(method, monkeypatch):
     joint = method in ("lse", "random-baseline")
     assert calls == {"max_min_power": 0 if joint else sol.iterations,
                      "mmse_max_min_power": sol.iterations if joint else 0}
+
+
+@pytest.mark.parametrize("m, n, k", [(12, 24, 2), (12, 24, 6), (2, 6, 5)])
+def test_tau_points_take_their_combiners_from_their_own_factorization(m, n, k, monkeypatch):
+    # lse and random-baseline read every combiner from a tau point's
+    # factorization, so the per-user combiner builder is never called; the
+    # last shape has more users than antennas
+    cfg = SystemConfig(m=m, n=n, k=k)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("optimal_beamformers called")
+
+    for seed in range(2):
+        chan = sample_channel(cfg, np.random.default_rng((1, seed)))
+        init = PhaseVector.random(n, cfg.alpha, np.random.default_rng((2, seed)))
+        cap = effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max)
+        out = lse_max_min_phase(chan, init, cap, cfg.sigma2)
+        point = out.power_control
+        assert point.tau == out.min_sinr
+        ours = mmse_combiners(point.mmse_state).rows
+        theirs = optimal_beamformers(chan, out.phase, point.power, cfg.sigma2).rows
+        assert np.array_equal(ours, theirs), seed
+        with monkeypatch.context() as patched:
+            patched.setattr(alternating, "optimal_beamformers", refused)
+            for method in ("lse", "random-baseline"):
+                alternating_optimize(cfg, chan, method, np.random.default_rng((2, seed)),
+                                     max_sweeps=2)
+
+
+@pytest.mark.parametrize("method", ["sdr", "quant"])
+def test_fixed_combiner_methods_build_their_combiners_per_user(method, monkeypatch):
+    calls = []
+    original = alternating.optimal_beamformers
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(alternating, "optimal_beamformers", counted)
+    sol = alternating_optimize(SMALL, small_channel(52), method, np.random.default_rng(53),
+                               max_sweeps=2)
+    assert len(calls) == sol.iterations
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

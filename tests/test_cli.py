@@ -93,6 +93,15 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_run_rejects_a_worker_count_below_one(config_path, tmp_path, capsys, threads):
+    # refused as a configuration error, not rounded up to one worker
+    out = tmp_path / "results.csv"
+    assert main(["run", str(config_path), "--out", str(out), "--threads", threads, "--quiet"]) == 1
+    assert f"workers must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 1
 

@@ -109,6 +109,14 @@ def test_beamformer_requires_unit_rows(rng):
         Beamformer(rows=np.array([[1.0, 1.0]], dtype=complex))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_beamformer_rejects_non_finite_rows(bad):
+    # |nan - 1| > 1e-10 is false, so the unit-norm rule alone lets a nan row through
+    with pytest.raises(ConfigurationError, match="combiner rows must be finite"):
+        Beamformer(rows=[[bad, 0.0]])
+
+
 @pytest.mark.parametrize("build", [
     lambda: SystemConfig(m=True, n=4, k=2),
     lambda: ExperimentPlan(trials=True, seed=1, k_grid=(2,), m_grid=(3,), n_grid=(4,)),

@@ -288,6 +288,30 @@ def test_scaled_config_rejects_mismatched_arrays(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5], ids=str)
+def test_a_worker_count_that_is_not_a_count_fails_before_the_csv(tmp_path, workers):
+    # refused up front: otherwise 0, -3 and True run serially and 2.5 fails
+    # inside the process pool
+    config, plan = parse_config_text(SMALL_PLAN)
+    out = tmp_path / "results.csv"
+    with pytest.raises(ConfigurationError, match="workers must be"):
+        run_experiment(config, plan, out_path=out, workers=workers)
+    assert not out.exists()
+
+
+def test_a_row_follows_the_text_rule():
+    record = harness.TrialRecord(
+        seed=7, k=2, m=3, n=4, method="lse", bits=None, min_sinr_linear=0.1,
+        min_sinr_db=-10.0, per_user_sinrs=(0.1, 1.0 / 3.0), sweeps=2,
+        wall_time_seconds=0.5, p_cap_used=(0.2, 0.25), degenerate=True,
+        channel_hash="00ff", diagnostics="sweep 1: x")
+    assert record.to_row() == [
+        "7", "2", "3", "4", "lse", "", "0.10000000000000001", "-10",
+        "0.10000000000000001;0.33333333333333331", "2", "0.5", "0.20000000000000001;0.25",
+        "1", "00ff", "sweep 1: x"]
+    assert replace(record, bits=3, degenerate=False).to_row()[5::7] == ["3", "0"]
+
+
 def test_streamed_csv_is_the_records_text(tmp_path):
     config, plan = parse_config_text(SMALL_PLAN)
     for workers in (1, 2):

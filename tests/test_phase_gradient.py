@@ -132,8 +132,8 @@ def test_lse_max_min_phase_climbs_the_power_controlled_minimum(rng):
         init_tau = mmse_max_min_power(effective_channel(chan, phase), caps, 1.0).tau
         out = lse_max_min_phase(chan, phase, caps, 1.0)
         assert out.min_sinr >= init_tau
-        assert np.all(out.power.p <= caps)
-        realized = post_bf_sinr(chan, out.phase, out.power, 1.0).minimum
+        assert np.all(out.power_control.power.p <= caps)
+        realized = post_bf_sinr(chan, out.phase, out.power_control.power, 1.0).minimum
         assert realized == pytest.approx(out.min_sinr, rel=1e-10)
 
 

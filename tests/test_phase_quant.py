@@ -57,6 +57,19 @@ def test_grid_init_is_coupled_across_depths(rng):
     assert np.all(fine.theta >= coarse.theta - 1e-12)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 2.0, 1.5, np.nan, -np.inf], ids=str)
+def test_grid_phase_rejects_draws_outside_the_unit_interval(bad):
+    # unchecked, -0.5 wraps around to level 4 of 8, 2.0 lands on the last
+    # level and nan indexes out of range
+    with pytest.raises(ConfigurationError, match=r"uniform draws must lie in \[0, 1\]"):
+        grid_phase_from_uniform(np.array([0.25, bad]), 3, 1.0)
+
+
+def test_a_draw_of_one_takes_the_last_level():
+    phase = grid_phase_from_uniform(np.array([0.0, 1.0]), 3, 1.0)
+    assert np.array_equal(phase.theta, phase_grid(3)[[0, 7]])
+
+
 def test_requires_grid_valued_init(rng):
     _, objective = make_objective(rng, 3, 4, 2)
     off_grid = PhaseVector(theta=np.full(4, 0.3), alpha=1.0)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ris_maxmin import (SystemConfig, alternating_optimize, build_quadratic_forms,
-                        sample_channel, sdr_dinkelbach_phase)
+from ris_maxmin import (ConfigurationError, SystemConfig, alternating_optimize,
+                        build_quadratic_forms, sample_channel, sdr_dinkelbach_phase)
 from ris_maxmin import sdr
 from ris_maxmin.phase import QuadraticFormSet
 from ris_maxmin.sdr import INNER_ITERS, STEP_TRIES, _LevelModel
@@ -33,6 +33,14 @@ def test_single_element_returns_input(rng):
     init = random_phase(rng, 1, alpha=0.9)
     out = sdr_dinkelbach_phase(forms, 0.9, init, rng)
     assert np.array_equal(out.phase.theta, init.theta)
+
+
+def test_an_amplitude_other_than_the_initial_phases_is_rejected(rng):
+    # the incoming phase is scored at init.alpha and the candidates at alpha,
+    # so a mismatch would compare values of two amplitudes
+    forms = build_forms(rng, 3, 4, 2)
+    with pytest.raises(ConfigurationError, match="alpha 0.5 differs from the initial phase's 1.0"):
+        sdr_dinkelbach_phase(forms, 0.5, random_phase(rng, 4, alpha=1.0), rng)
 
 
 def test_never_worse_than_init_and_bounded_by_relaxation(rng):

@@ -7,7 +7,7 @@ from ris_maxmin import (ConfigurationError, DomainError, GainTable, NumericError
                         PhaseVector, SystemConfig, effective_channel,
                         effective_power_cap, max_min_power, sample_channel)
 from ris_maxmin import power
-from ris_maxmin.beamforming import post_bf_sinr_values
+from ris_maxmin.beamforming import mmse_combiners, post_bf_sinr_values
 from ris_maxmin.power import gain_table, mmse_max_min_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
@@ -89,6 +89,23 @@ def test_decoupled_users_reach_the_bottleneck_optimum():
     assert result.power.p[bottleneck] == pytest.approx(caps[bottleneck], rel=1e-8)
     sinr = np.diag(f) * result.power.p / n
     assert np.allclose(sinr, result.tau, rtol=1e-8)
+
+
+def test_a_degenerate_tau_point_carries_the_factorization_of_its_caps(rng):
+    # user 1's effective channel is zero: tau is 0 at the caps, and the caps'
+    # factorization gives that user the first standard basis vector
+    g = complex_normal(rng, (4, 3))
+    g[:, 1] = 0.0
+    caps = np.array([0.5, 0.8, 0.3])
+    result = mmse_max_min_power(g, caps, 1.0)
+    assert result.degenerate and result.tau == 0.0
+    assert np.array_equal(result.power.p, caps)
+    expected = post_bf_sinr_values(g, caps, 1.0)
+    for field in ("directions", "sinr", "couplings"):
+        assert np.array_equal(getattr(result.mmse_state, field), getattr(expected, field)), field
+    rows = mmse_combiners(result.mmse_state).rows
+    assert np.array_equal(rows[1], np.eye(4)[0])
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
 
 
 def test_degenerate_direct_gain():
