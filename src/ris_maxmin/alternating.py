@@ -1,13 +1,12 @@
 """Outer alternating loop: combiners, then powers, then RIS phases.
 
-Each sweep runs the three block updates in that order. Every stage is
-guarded: an update is kept only if the minimum SINR of the current operating
-point does not decrease, so the recorded stage trace is nondecreasing by
-construction. Every operating point is scored once, by GainTable.sinr on
-its own gain table: the loop keeps the table of the current phases and
-combiners, and the power stage is scored there. The phase step of every
-method returns one proposal (phases, powers, combiners) that one guard
-judges.
+Each sweep runs the three block updates in that order, and every stage goes
+through one guarded commit: an update is kept only if the minimum SINR of
+the current operating point does not decrease, so the recorded stage trace
+is nondecreasing by construction. Every operating point is scored once, by
+GainTable.sinr on its own gain table: the loop keeps the table of the
+current phases and combiners, and the power stage is scored there. The
+phase step of every method returns one proposal (phases, powers, combiners).
 
 At fixed phases the MMSE combiners and max-min power control have one joint
 optimum, tau(theta): a tau point, one mmse_max_min_power result carrying
@@ -37,7 +36,7 @@ from .errors import ConfigurationError, NumericError
 from .phase import (QuantOptions, build_quadratic_forms,
                     grid_phase_from_uniform, lse_max_min_phase,
                     quantized_heuristic_phase)
-from .power import STALL_SPREAD, effective_power_cap, max_min_power, mmse_max_min_power
+from .power import STALL_SPREAD, max_min_power, mmse_max_min_power
 from .sdr import sdr_dinkelbach_phase
 
 METHODS = ("sdr", "lse", "quant", "random-baseline")
@@ -94,14 +93,6 @@ def _check_sweep_settings(tol, max_sweeps, phase_options=None) -> None:
         raise ConfigurationError(f"phase_options must be None or a QuantOptions, got {phase_options!r}")
 
 
-def _scored(table, power: PowerAllocation, stage: str) -> float:
-    """The minimum SINR of an operating point; a nan minimum is a solver fault."""
-    value = float(table.sinr(power.p).min())
-    if math.isnan(value):
-        raise NumericError(f"the {stage} stage scored a nan minimum SINR")
-    return value
-
-
 def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method: str,
                          rng: np.random.Generator, tol: float = SWEEP_TOL,
                          max_sweeps: int = MAX_SWEEPS,
@@ -115,17 +106,17 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     validates ``tol`` and ``max_sweeps`` but needs neither). The loop stops
     when the relative improvement of the minimum SINR over one sweep drops
     below ``tol`` or after ``max_sweeps`` sweeps. Powers start at the
-    exposure-folded cap so the first combiner update sees realistic
-    interference; each joint stage starts tau's solve from the current
-    powers. ``phase_options`` (QuantOptions) sets the bit depth of "quant";
-    the other methods have no settings.
+    scenario's cap ``config.p_cap`` so the first combiner update sees
+    realistic interference; each joint stage starts tau's solve from the
+    current powers. ``phase_options`` (QuantOptions) sets the bit depth of
+    "quant"; the other methods have no settings.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
     _check_sweep_settings(tol, max_sweeps, phase_options)
     started = time.perf_counter()
     sigma2 = config.sigma2
-    p_cap = effective_power_cap(config.p_max, config.sar_ref, config.emf_max)
+    p_cap = config.p_cap
 
     if method == "quant":
         bits = (phase_options or QuantOptions()).bits
@@ -141,6 +132,18 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
     bf = table = None
     current = -np.inf
     trace: list[tuple[str, float]] = []
+
+    def commit(stage, phase_new, power_new, bf_new, table_new):
+        """Every stage's guarded commit: the proposal, scored once on its own table,
+        is kept unless its minimum SINR is below the current one; traces the kept minimum."""
+        nonlocal phase, power, bf, table, current
+        candidate = float(table_new.sinr(power_new.p).min())
+        if math.isnan(candidate):
+            raise NumericError(f"the {stage} stage scored a nan minimum SINR")
+        if candidate >= current:
+            phase, power, bf, table, current = phase_new, power_new, bf_new, table_new, candidate
+        trace.append((stage, current))
+
     converged = False
     previous = None
     for sweeps in range(1, max_sweeps + 1):
@@ -152,21 +155,14 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             bf_new = mmse_combiners(result.mmse_state)
         else:
             bf_new = optimal_beamformers(chan, phase, power, sigma2)
-        table_new = gain_table(chan, phase, bf_new, sigma2)
-        candidate = _scored(table_new, power, "bf")
-        if candidate >= current:
-            bf, table, current = bf_new, table_new, candidate
-        trace.append(("bf", current))
+        commit("bf", phase, power, bf_new, gain_table(chan, phase, bf_new, sigma2))
 
         # power step, scored on the kept table: tau's powers or the Perron optimum there
         if not joint:
             result = max_min_power(table, p_cap)
         if result.degenerate:
             diagnostics.append(f"sweep {sweeps}: degenerate gain table in the power step")
-        candidate = _scored(table, result.power, "power")
-        if candidate >= current:
-            power, current = result.power, candidate
-        trace.append(("power", current))
+        commit("power", phase, result.power, bf, table)
         if method == "random-baseline":
             # current is the minimum of the kept powers' SINRs on this table
             converged = current == 0.0 or table.sinr(power.p).max() / current - 1.0 <= STALL_SPREAD
@@ -177,12 +173,7 @@ def alternating_optimize(config: SystemConfig, chan: ChannelRealization, method:
             method, config, chan, phase, power, bf, p_cap, rng, phase_options)
         if warning:
             diagnostics.append(f"sweep {sweeps}: {warning}")
-        table_new = gain_table(chan, phase_new, bf_new, sigma2)
-        candidate = _scored(table_new, power_new, "phase")
-        if candidate >= current:
-            phase, power, bf, table = phase_new, power_new, bf_new, table_new
-            current = candidate
-        trace.append(("phase", current))
+        commit("phase", phase_new, power_new, bf_new, gain_table(chan, phase_new, bf_new, sigma2))
 
         if previous is not None and current - previous <= tol * max(previous, 1e-300):
             converged = True

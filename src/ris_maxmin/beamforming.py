@@ -26,12 +26,7 @@ Where each check runs: post_bf_sinr_values checks on every call that the
 effective channels are finite (NumericError), and the factorization's info
 code reports a matrix that is not positive definite (NumericError), such
 as one made by a negative power. It trusts the powers and sigma2 otherwise.
-sigma2 has one rule, 0 < sigma2 < inf (core._check_sigma2, the rule of
-SystemConfig too), checked at entry to every public function that takes it:
-optimal_beamformers, core.gain_table (and so core.sinr_per_user),
-phase.build_quadratic_forms, phase.sinr_phase_tangent,
-phase.lse_gradient_phase and power.mmse_max_min_power, which also checks
-the caps and its start powers once, all before the first factorization.
+optimal_beamformers checks sigma2 (core._check_sigma2) at entry.
 """
 
 import numpy as np

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import TWO_PI, ChannelRealization, SystemConfig
+from .core import TWO_PI, ChannelRealization, SystemConfig, _standard_complex
 from .errors import ConfigurationError, DomainError
 
 # UMi distance laws: (exponent, intercept in dB)
@@ -61,10 +61,6 @@ def ris_correlation_sqrt(n: int, rho: float) -> np.ndarray:
     lam, vec = np.linalg.eigh(corr.astype(complex))
     lam = np.where(lam < 1e-12, 0.0, lam)
     return (vec * np.sqrt(lam)) @ vec.conj().T
-
-
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:

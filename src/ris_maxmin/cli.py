@@ -1,6 +1,7 @@
 """Command line interface: run experiments, lint configs, dump channels.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (a config file that cannot be
+read included), 2 runtime error (a failure to write an output file included).
 """
 
 import argparse
@@ -41,10 +42,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """The config file's (SystemConfig, ExperimentPlan), with a --seed override."""
     config, plan = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         plan = replace(plan, seed=args.seed)
+    return config, plan
+
+
+def _cmd_run(args) -> int:
+    config, plan = _load(args)
     if args.trials is not None:
         plan = replace(plan, trials=args.trials)
 
@@ -61,18 +68,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config, plan = load_config(args.config)
-    grid = len(_grid_scenarios(config, plan))
+    config, plan = _load(args)
+    grid = len(plan.k_grid) * len(plan.m_grid) * len(plan.n_grid)
     print(f"OK: m={config.m} n={config.n} k={config.k}, sigma2={config.sigma2:.6g} W, "
           f"{len(plan.methods)} methods, {grid} grid points, {plan.trials} trials")
     return 0
 
 
 def _cmd_dump_channel(args) -> int:
-    config, plan = load_config(args.config)
-    if args.seed is not None:
-        plan = replace(plan, seed=args.seed)
-    _, _, chan, _ = trial_channel(_grid_scenarios(config, plan)[0], plan, 0, 0)
+    config, plan = _load(args)
+    _, chan, _ = trial_channel(_grid_scenarios(config, plan)[0], plan, 0, 0)
     text = dump_channel_text(chan)
     if args.out is None:
         sys.stdout.write(text)
@@ -88,7 +93,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "validate": _cmd_validate, "dump-channel": _cmd_dump_channel}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, DomainError, FileNotFoundError) as exc:
+    except (ConfigurationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, np.linalg.LinAlgError, OSError) as exc:

@@ -26,7 +26,11 @@ the gain scan, since unit rows make every noise term sigma2 > 0 and
 and sdr's rescaled copy of them. gain_table and build_quadratic_forms
 still check sigma2 and the shapes of the combiners and powers they are
 given; raw combiner rows still go through GainTable's scan, so a zero row
-is rejected.
+is rejected. sigma2 has one rule, _check_sigma2, run by SystemConfig and at
+entry to every public function that takes it, before any factorization.
+The cap has one rule, effective_power_cap, run once per scenario
+(SystemConfig.p_cap); each power solver checks the caps it is handed. Each
+module's docstring names its own entry checks.
 """
 
 import math
@@ -63,6 +67,31 @@ _MAX_GAIN_DB = 5.0 * math.log10(sys.float_info.max)
 _MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
+def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circular complex normals: all real parts, then all imaginary parts."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:
+    """Fold the exposure limit into the transmit power cap.
+
+    Each user's cap is min(p_max, emf_max_k / sar_ref_k): exposure is
+    sar_ref_k watts-per-kilogram per transmitted watt, so the quotient is the
+    largest power that keeps exposure within emf_max_k. A sar_ref entry
+    that is not positive, or a cap that is not positive (nan included),
+    raises DomainError.
+    """
+    sar = np.atleast_1d(np.asarray(sar_ref, dtype=float))
+    emf = np.atleast_1d(np.asarray(emf_max, dtype=float))
+    if np.any(sar <= 0):
+        raise DomainError("sar_ref must be positive")
+    cap = np.minimum(p_max, emf / sar)
+    if not np.all(cap > 0.0):
+        raise DomainError(
+            f"power caps min(p_max, emf_max / sar_ref) must be positive, got {cap.tolist()}")
+    return cap
+
+
 def _check_sigma2(sigma2) -> None:
     """ConfigurationError unless the noise power ``sigma2`` is positive and
     finite, the rule SystemConfig holds its own sigma2 to."""
@@ -85,15 +114,6 @@ def _check_count(name: str, value, low: float = 1, high: int | None = None) -> i
     return int(value)
 
 
-def _as_float_array(value, k: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        arr = np.full(k, arr.item())
-    if arr.shape != (k,):
-        raise ConfigurationError(f"{name} must be a scalar or length-{k} sequence, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Scenario constants: dimensions, powers, noise, geometry, exposure caps.
@@ -104,6 +124,9 @@ class SystemConfig:
     scalars or per-user sequences; they are stored as length-``k`` arrays.
     Element spacings ``d_bs`` and ``d_ris`` are fractions of the carrier
     wavelength, which is why no carrier frequency appears anywhere.
+    ``p_cap`` is derived and read-only: effective_power_cap(p_max, sar_ref,
+    emf_max), formed once per scenario. A bad bandwidth (sigma2 given or not)
+    or a zero cap raises DomainError, any other bad value ConfigurationError.
     """
 
     m: int
@@ -125,12 +148,15 @@ class SystemConfig:
     d_bs: float = 0.5
     d_ris: float = 0.5
     ris_corr_rho: float = 0.0
+    p_cap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("m", "n", "k"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
+        noise = noise_power(self.bandwidth_hz)
         if self.sigma2 is None:
-            object.__setattr__(self, "sigma2", noise_power(self.bandwidth_hz))
+            object.__setattr__(self, "sigma2", noise)
+        _check_sigma2(self.sigma2)
         object.__setattr__(self, "ris_position", (float(self.ris_position[0]), float(self.ris_position[1])))
         # field -> (whether it holds, the rule); each test fails on nan
         ranges = {
@@ -138,7 +164,6 @@ class SystemConfig:
                       f"be finite, within +-{_MAX_GAIN_DB:.0f} dBi (a link's linear gain must be finite)")
                for name in ("gain_bs_dbi", "gain_ris_dbi", "gain_user_dbi")},
             "alpha": (0.0 < self.alpha <= 1.0, "lie in (0, 1]"),
-            "sigma2": (0.0 < self.sigma2 < np.inf, "be finite and positive"),
             "p_max": (self.p_max > 0.0, "be positive"),
             "kappa": (0.0 <= self.kappa < np.inf, "be finite and >= 0"),
             "r_max": (self.r_max < _MAX_RADIUS, "be finite, with a finite square"),
@@ -153,7 +178,12 @@ class SystemConfig:
             if not holds:
                 raise ConfigurationError(f"{name} must {rule}, got {getattr(self, name)}")
         for name in ("sar_ref", "emf_max"):
-            arr = _as_float_array(getattr(self, name), self.k, name)
+            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if arr.size == 1:
+                arr = np.full(self.k, arr.item())
+            if arr.shape != (self.k,):
+                raise ConfigurationError(
+                    f"{name} must be a scalar or length-{self.k} sequence, got shape {arr.shape}")
             if not np.all(arr > 0.0):
                 raise ConfigurationError(f"{name} entries must be positive, got {arr.tolist()}")
             object.__setattr__(self, name, arr)
@@ -161,11 +191,17 @@ class SystemConfig:
         # leaves p_max, which must then be finite
         if not np.all(np.isfinite(self.sar_ref)):
             raise ConfigurationError(f"sar_ref entries must be finite, got {self.sar_ref.tolist()}")
-        cap = np.minimum(self.p_max, self.emf_max / self.sar_ref)
+        cap = effective_power_cap(self.p_max, self.sar_ref, self.emf_max)
         if not np.all(np.isfinite(cap)):
             raise ConfigurationError(
                 f"p_max and emf_max must not both be infinite: the power cap "
                 f"min(p_max, emf_max / sar_ref) is {cap.tolist()}")
+        cap.flags.writeable = False
+        object.__setattr__(self, "p_cap", cap)
+
+    def __setstate__(self, state):  # an unpickled copy (a worker's) keeps p_cap read-only
+        self.__dict__.update(state)
+        self.p_cap.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,9 +159,14 @@ def parse_config_text(text: str):
 
 
 def load_config(path):
-    """Read and parse a config file; errors carry the key name and line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    """Read and parse a config file; errors carry the key name and line, or
+    name ``path`` when the file cannot be opened, read or decoded as UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def _text(value, sep: str) -> str:
@@ -252,20 +257,20 @@ def trial_channel(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
     """The draw of trial ``trial_index`` at grid point ``grid_index``, whose
     scenario is ``scenario`` (for a one-point plan, the base config).
 
-    Returns the scenario, the trial seed, the channel that every method of
-    the trial shares, and one seed sequence per planned method.
+    Returns the trial seed, the channel that every method of the trial
+    shares, and one seed sequence per planned method.
     """
     trial_seed = derive_trial_seed(plan.seed, grid_index, trial_index)
     children = np.random.SeedSequence(trial_seed).spawn(1 + len(plan.methods))
     chan = sample_channel(scenario, np.random.default_rng(children[0]))
-    return scenario, trial_seed, chan, dict(zip(plan.methods, children[1:]))
+    return trial_seed, chan, dict(zip(plan.methods, children[1:]))
 
 
 def run_trial(scenario: SystemConfig, plan: ExperimentPlan, grid_index: int,
               trial_index: int) -> list:
     """Run every planned method on one shared channel draw, the quantized
     method once per bit depth; returns one record per run."""
-    _, trial_seed, chan, method_stream = trial_channel(scenario, plan, grid_index, trial_index)
+    trial_seed, chan, method_stream = trial_channel(scenario, plan, grid_index, trial_index)
     chash = _channel_hash(chan)
     records = []
     for method in plan.methods:

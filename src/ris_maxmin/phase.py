@@ -28,8 +28,8 @@ one of them passes it.
 MMSE combiners (the ``lse`` steps): each candidate's effective channels go
 through beamforming.post_bf_sinr_values, whose one factorization also
 gives the couplings the phase derivative needs. Both smooth-min steps run
-scipy's L-BFGS-B over the angles, with the same budget (LSE_MAX_ITERS) and
-tolerance (LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
+one L-BFGS-B climb over the angles (_lbfgsb_climb: budget LSE_MAX_ITERS,
+tolerance LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
 max-min SINR after power control, and lse_gradient_phase on the
 log-sum-exp surrogate of the SINRs at frozen powers. For the former,
 max_min_sinr_tangent's one solve of the power step's balance system gives
@@ -209,10 +209,8 @@ def max_min_sinr_tangent(chan: ChannelRealization, phase: PhaseVector, p_cap,
         S @ X = -d sinr / d theta,
 
     where S is the Jacobian of the balance equations in (p without p_b,
-    tau): d sinr_j / d p_i = -p_j |c_ji|^2 for i != j and c_jj on the
-    diagonal, with c_ji = g_j^H (S_j + sigma2*I)^{-1} g_i, and column b
-    holding tau's -1 (power._balance_system, the solver the power step's
-    Newton iteration calls). One solve with the n angles as right-hand
+    tau), built and solved by power._balance_system, the solver of the
+    power step's Newton iteration. One solve with the n angles as right-hand
     sides gives both answers: row b of X is grad tau, and the other rows are
     d p_i / d theta. Returns (gradient, the power-control result, the (k, n)
     power slope with row b zero, since p_b stays at its cap); ``start``
@@ -262,6 +260,17 @@ LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step h
 LSE_MAX_ITERS = 200         # L-BFGS-B iterations per smooth-min phase step
 
 
+def _lbfgsb_climb(objective, theta0: np.ndarray) -> tuple[int, bool]:
+    """L-BFGS-B on ``objective`` (value and gradient over the angles) from ``theta0``, for
+    at most LSE_MAX_ITERS iterations down to a projected gradient of LSE_GRAD_TOL: its
+    iteration count and convergence flag (the objective keeps the best iterate)."""
+    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
+
+    out = scipy.optimize.minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    return int(out.nit), bool(out.success)
+
+
 @dataclass
 class LseResult:
     """Outcome of a smooth-min phase step: the best phase seen, its minimum
@@ -284,15 +293,11 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
                        sigma2: float) -> LseResult:
     """Smooth-min phase step with the powers frozen at ``powers``.
 
-    Runs L-BFGS-B over the angles on lse_objective of the post-combining
-    SINRs those powers give, whose gradient is
-    -(softmax(1/rho) / rho^2) @ sinr_phase_tangent, for at most
-    LSE_MAX_ITERS iterations, down to a projected gradient of LSE_GRAD_TOL.
-    Returns the iterate with the best minimum SINR seen, never worse than
-    ``init``.
+    Climbs (_lbfgsb_climb) lse_objective of the post-combining SINRs those
+    powers give, whose gradient is -(softmax(1/rho) / rho^2) @
+    sinr_phase_tangent. Returns the iterate with the best minimum SINR
+    seen, never worse than ``init``.
     """
-    import scipy.optimize  # deferred, as in lse_max_min_phase
-
     _check_sigma2(sigma2)
     p = _power_array(powers)
     alpha = init.alpha
@@ -313,10 +318,9 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
         weights /= weights.sum()
         return lse_objective(rho), -(weights / rho ** 2) @ tangent
 
-    out = scipy.optimize.minimize(surrogate, init.theta, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    iterations, converged = _lbfgsb_climb(surrogate, init.theta)
     return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["min"],
-                     int(out.nit), bool(out.success))
+                     iterations, converged)
 
 
 def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
@@ -327,21 +331,16 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     under the caps ``p_cap`` with MMSE combiners. Power control equalizes
     the SINRs, so their lse_objective is log(k) + 1/tau and minimizing the
     smooth-min surrogate is maximizing tau; with the powers folded in, the
-    surrogate no longer stalls where the frozen-power SINRs tie. Runs
-    L-BFGS-B on -log(tau) over the angles with the gradient of
-    max_min_sinr_tangent, for at most LSE_MAX_ITERS iterations, down to a
-    projected gradient of LSE_GRAD_TOL. Each candidate's power step starts
-    from the first-order prediction p_best + (dp/dtheta) (theta - theta_best)
-    at the best phase so far, from the slope that the same tangent solve
-    gives (_predicted_start); the start changes the step count, not tau.
-    Returns the best phase seen with its tau point, never worse than
-    ``init``.
+    surrogate no longer stalls where the frozen-power SINRs tie. Climbs
+    (_lbfgsb_climb) -log(tau) with the gradient of max_min_sinr_tangent.
+    Each candidate's power step starts from the first-order prediction
+    p_best + (dp/dtheta) (theta - theta_best) at the best phase so far, from
+    the slope that the same tangent solve gives (_predicted_start); the
+    start changes the step count, not tau. Returns the best phase seen with
+    its tau point, never worse than ``init``.
     """
-    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
-
-    cap = np.atleast_1d(np.asarray(p_cap, dtype=float))
     alpha = init.alpha
-    _, start, slope = max_min_sinr_tangent(chan, init, cap, sigma2)
+    _, start, slope = max_min_sinr_tangent(chan, init, p_cap, sigma2)
     if start.degenerate:
         return LseResult(init, start.tau, 0, False,
                          warning="degenerate SINR at the initial phase", power_control=start)
@@ -351,17 +350,16 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     def neg_log_tau(theta):
         guess = _predicted_start(best["result"].power.p, best["slope"], theta - best["theta"])
         grad, result, slope = max_min_sinr_tangent(chan, _iterate_phase(theta, alpha),
-                                                   cap, sigma2, start=guess)
+                                                   p_cap, sigma2, start=guess)
         if result.tau <= 0.0:
             return np.inf, np.zeros_like(theta)
         if result.tau > best["result"].tau:
             best.update(result=result, theta=theta.copy(), slope=slope)
         return -np.log(result.tau), -grad / result.tau
 
-    out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
+    iterations, converged = _lbfgsb_climb(neg_log_tau, init.theta)
     return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["result"].tau,
-                     int(out.nit), bool(out.success), power_control=best["result"])
+                     iterations, converged, power_control=best["result"])
 
 
 def phase_grid(bits: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Max-min SINR power control under per-user caps, plus the exposure cap fold.
+"""Max-min SINR power control under per-user caps.
 
 For fixed combiners, described by a core.GainTable (F, n), user k's SINR
 target tau reads p >= tau * (M p + b) with M = (F - diag f) / diag f (row k divided by its direct gain f[k, k])
@@ -39,8 +39,7 @@ array of positive, finite watts) and raise ConfigurationError before any
 eigenvalue or factorization; max_min_power also rejects a non-finite gain
 table (NumericError). mmse_max_min_power checks sigma2 and its start powers
 (shape, finite, positive) at entry as well, so the Newton loop runs on
-inputs checked once per call; each factorization's kernel call,
-beamforming.post_bf_sinr_values, checks that the channels are finite.
+inputs checked once per call.
 """
 
 from typing import NamedTuple
@@ -50,8 +49,8 @@ from scipy.linalg import lapack
 
 from .beamforming import post_bf_sinr_values
 from .core import GainTable, PowerAllocation, _check_sigma2, _trusted
-from .core import gain_table  # noqa: F401 (re-exported)
-from .errors import ConfigurationError, DomainError, NumericError
+from .core import effective_power_cap, gain_table  # noqa: F401 (re-exported)
+from .errors import ConfigurationError, NumericError
 
 FIXED_POINT_MAX_ITER = 500  # factored operating points per mmse_max_min_power call, at most
 BALANCED_SPREAD = 1e-13     # SINR spread max/min - 1 at which the powers are balanced
@@ -81,6 +80,11 @@ def _checked_powers(values, k: int, name: str) -> np.ndarray:
     if not (0.0 < p.min() and p.max() < np.inf):
         raise ConfigurationError(f"{name} must be positive and finite, got {p.tolist()}")
     return p
+
+
+def _onto_caps(p: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Positive powers ``p`` scaled so their largest p / cap is one (the min trims rounding)."""
+    return np.minimum(cap, p / (p / cap).max())
 
 
 def max_min_power(gains: GainTable, p_cap) -> PowerControlResult:
@@ -144,32 +148,26 @@ def _newton_powers(state, p: np.ndarray, cap: np.ndarray):
     p_new = p + step
     if not p_new.min() > 0.0:
         return None
-    return np.minimum(cap, p_new / (p_new / cap).max())
+    return _onto_caps(p_new, cap)
 
 
 def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> PowerControlResult:
     """Max-min SINR powers under per-user caps when every user keeps its MMSE combiner.
 
     ``g`` is the (m, k) matrix of effective channels. From the positive
-    powers ``start`` (default: the caps; phase.lse_max_min_phase passes the
-    first-order prediction from a nearby phase's powers, which changes the
-    step count, not the optimum), each step factors the current
-    powers once and takes a Newton step on the balance equations. It takes
-    a normalized fixed-point step instead when the Newton solve is singular,
-    when a power would come out nonpositive, or when the previous step did
-    not shrink the SINR spread max/min - 1. The call stops on balance: once
-    the spread is at most BALANCED_SPREAD, or once the best spread so far
-    is at most STALL_SPREAD and STALL_STEPS steps have not beaten it (the
-    eps * SINR rounding of a high-SINR user sets a floor under the spread),
-    or after FIXED_POINT_MAX_ITER steps. It returns the best-balanced
-    powers it factored, with that factorization as ``mmse_state``: they lie
-    within the caps with the binding user at its cap, and tau is the
-    minimum SINR they achieve under the MMSE combiners. A user with a zero
-    effective channel makes the problem degenerate: the caps are returned
-    with tau = 0 and their factorization. A sigma2, cap or start power that
-    is not positive and finite, or a cap or start of the wrong shape, raises
-    ConfigurationError before the first factorization; a non-finite channel
-    raises NumericError from the kernel.
+    powers ``start`` (default: the caps; a start changes the step count, not
+    the optimum), each step factors the current powers once and takes a
+    Newton step, or the fixed-point step when the Newton solve is singular,
+    a power would come out nonpositive, or the previous step did not shrink
+    the SINR spread max/min - 1. The call stops once the spread is at most
+    BALANCED_SPREAD, once the best spread so far is at most STALL_SPREAD and
+    STALL_STEPS steps have not beaten it (the eps * SINR rounding of a
+    high-SINR user floors the spread), or after FIXED_POINT_MAX_ITER steps.
+    It returns the best-balanced powers it factored, binding user at its
+    cap, their minimum SINR as tau and their factorization as
+    ``mmse_state``. A user with a zero effective channel makes the problem
+    degenerate: the caps, tau = 0 and their factorization. A non-finite
+    channel raises NumericError from the kernel.
     """
     k = g.shape[1]
     _check_sigma2(sigma2)
@@ -179,7 +177,7 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
         return PowerControlResult(PowerAllocation(cap.copy()), 0.0, True,
                                   post_bf_sinr_values(g, cap, sigma2))
 
-    p = np.minimum(cap, p / (p / cap).max())
+    p = _onto_caps(p, cap)
     previous = best_spread = np.inf
     best_state, stalled = None, 0
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -195,30 +193,10 @@ def mmse_max_min_power(g: np.ndarray, p_cap, sigma2: float, start=None) -> Power
             break
         p_new = _newton_powers(current, p, cap) if spread < previous else None
         if p_new is None:
-            interference = p / sinr
-            p_new = np.minimum(cap, interference / (interference / cap).max())
+            p_new = _onto_caps(p / sinr, cap)
         previous, p = spread, p_new
     # tau is what the returned powers achieve, so it never overstates the
     # optimum; best_p lies in (0, cap], so its PowerAllocation check is skipped
     return PowerControlResult(_trusted(PowerAllocation, p=best_p), float(best_state.sinr.min()),
                               False, best_state)
 
-
-def effective_power_cap(p_max: float, sar_ref, emf_max) -> np.ndarray:
-    """Fold the exposure limit into the transmit power cap.
-
-    Each user's cap is min(p_max, emf_max_k / sar_ref_k): exposure is
-    sar_ref_k watts-per-kilogram per transmitted watt, so the quotient is the
-    largest power that keeps exposure within emf_max_k. A sar_ref entry
-    that is not positive, or a cap that is not positive (nan included),
-    raises DomainError.
-    """
-    sar = np.atleast_1d(np.asarray(sar_ref, dtype=float))
-    emf = np.atleast_1d(np.asarray(emf_max, dtype=float))
-    if np.any(sar <= 0):
-        raise DomainError("sar_ref must be positive")
-    cap = np.minimum(p_max, emf / sar)
-    if not np.all(cap > 0.0):
-        raise DomainError(
-            f"power caps min(p_max, emf_max / sar_ref) must be positive, got {cap.tolist()}")
-    return cap

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PhaseVector, _trusted
+from .core import PhaseVector, _standard_complex, _trusted
 from .errors import ConfigurationError
 from .phase import QuadraticFormSet
 
@@ -269,6 +269,11 @@ def _inner_ascent(model: _LevelModel, factor: np.ndarray, alpha: float, lam: flo
     return _Ascent(best_factor, best_ratio, improved, steps, backtracks, early_stop)
 
 
+def _level_gain(ratio: float, lam: float) -> float:
+    """The relative gain (ratio - lam) / lam of a level update, lam floored at _TINY."""
+    return (ratio - lam) / max(lam, _TINY)
+
+
 def _unit_phases(z: np.ndarray) -> np.ndarray:
     mags = np.abs(z)
     return np.where(mags > 0, z / np.where(mags > 0, mags, 1.0), 1.0)
@@ -309,40 +314,31 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     init_value = scaled.min_sinr(u0)
     lam = init_value
     factor_best = u0[:, None].copy()
-    warning = None
     iterations = 0
     any_progress = False
     inner_steps = backtracks = cold_restarts = early_stops = 0
     for iterations in range(1, OUTER_ITERS + 1):
-        best = _inner_ascent(model, factor, alpha, lam)
-        runs = [best]
-        if (best.ratio - lam) / max(lam, _TINY) < OUTER_TOL:
-            # a warm start can sit in a corner of the feasible set; retry cold
-            for _ in range(RESTARTS):
-                fresh = _normalize_rows(
-                    (rng.standard_normal((n, rank))
-                     + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0), alpha)
-                cold = _inner_ascent(model, fresh, alpha, lam)
-                runs.append(cold)
-                if cold.ratio > best.ratio:
-                    best = cold
-                if (best.ratio - lam) / max(lam, _TINY) >= OUTER_TOL:
-                    break
-        cold_restarts += len(runs) - 1
-        for run in runs:
+        best = run = _inner_ascent(model, factor, alpha, lam)
+        for restart in range(RESTARTS + 1):
             inner_steps += run.steps
             backtracks += run.backtracks
             early_stops += run.early_stop
+            if run.ratio > best.ratio:
+                best = run
+            if _level_gain(best.ratio, lam) >= OUTER_TOL or restart == RESTARTS:
+                break
+            # a warm start can sit in a corner of the feasible set; retry cold
+            cold_restarts += 1
+            run = _inner_ascent(model, _normalize_rows(_standard_complex(rng, (n, rank)), alpha),
+                                alpha, lam)
         factor, ratio = best.factor, best.ratio
         any_progress = any_progress or best.improved
         if ratio > lam:
             factor_best = factor
-        gain = (ratio - lam) / max(lam, _TINY)
+        gain = _level_gain(ratio, lam)
         lam = max(lam, ratio)
         if gain < OUTER_TOL:
             break
-    if not any_progress:
-        warning = "inner ascent found no level improvement; keeping best feasible iterate"
 
     v_best = factor_best @ factor_best.conj().T
     v_best = 0.5 * (v_best + v_best.conj().T)
@@ -351,8 +347,7 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
     candidates = [_unit_phases(eigvecs[:, -1] * np.sqrt(max(eigvals[-1], 0.0)))]
     if top_share < 1.0 - 1e-3:
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        draws = root @ ((rng.standard_normal((n, N_RAND))
-                         + 1j * rng.standard_normal((n, N_RAND))) / np.sqrt(2.0))
+        draws = root @ _standard_complex(rng, (n, N_RAND))
         candidates.append(_unit_phases(draws.T))
     cand = np.vstack([np.atleast_2d(c) for c in candidates])
     scores = scaled.sinr_batch(alpha * cand.T).min(axis=0)
@@ -375,5 +370,6 @@ def sdr_dinkelbach_phase(forms: QuadraticFormSet, alpha: float, init: PhaseVecto
         backtracks=backtracks,
         cold_restarts=cold_restarts,
         early_stops=early_stops,
-        warning=warning,
+        warning=None if any_progress else
+        "inner ascent found no level improvement; keeping best feasible iterate",
     )

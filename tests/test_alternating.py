@@ -12,11 +12,11 @@ from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         sinr_per_user)
 from ris_maxmin import PhaseVector, alternating, max_min_power, phase, power
 from ris_maxmin.alternating import METHODS
-from ris_maxmin.core import ChannelRealization, GainTable, gain_table
+from ris_maxmin.core import Beamformer, ChannelRealization, GainTable, PowerAllocation, gain_table
 from ris_maxmin.errors import NumericError
 from ris_maxmin.beamforming import mmse_combiners, optimal_beamformers
 from ris_maxmin.phase import lse_max_min_phase
-from ris_maxmin.power import effective_power_cap, mmse_max_min_power
+from ris_maxmin.power import PowerControlResult, effective_power_cap, mmse_max_min_power
 
 from oracles import sweeping_random_baseline
 
@@ -90,6 +90,77 @@ def test_each_operating_point_is_scored_once(method, monkeypatch):
     sol = alternating_optimize(SMALL, small_channel(40), method, np.random.default_rng(41))
     assert calls["sinr_per_user"] == 1
     assert calls["gain_table"] <= 2 * sol.iterations
+
+
+def _user0_off(p):
+    """Powers with user 0 all but switched off, so its SINR falls far below any minimum."""
+    low = np.array(p, dtype=float)
+    low[0] *= 1e-12
+    return low
+
+
+@pytest.mark.parametrize("tie", [True, False], ids=["tie-kept", "drop-refused"])
+@pytest.mark.parametrize("stage", ["bf", "power", "phase"])
+def test_each_stage_keeps_a_tie_and_refuses_a_drop(stage, tie, monkeypatch):
+    """One proposal of ``stage`` is replaced by a candidate that ties the
+    current minimum or falls below it: the tie is kept, the drop refused, and
+    the stage's trace entry is the minimum of the point that stays. The bf
+    stage is tested in sweep 2, since sweep 1 has no point to keep."""
+    sigma2 = SMALL.sigma2
+    starts, proposed = [], {}
+    phase_step = alternating._phase_proposal
+
+    def phase_proposal(method, config, chan, phase, power, bf, *rest):
+        # each phase step starts from the point the stages before it kept
+        starts.append((phase, power, bf))
+        if stage != "phase" or len(starts) > 1:
+            return phase_step(method, config, chan, phase, power, bf, *rest)
+        proposed["kept"] = PowerAllocation(power.p if tie else _user0_off(power.p))
+        proposed["score"] = gain_table(chan, phase, bf, sigma2).sinr(proposed["kept"].p).min()
+        return phase, proposed["kept"], bf, None
+
+    def power_step(table, p_cap):
+        # sweep 1's current powers are the caps
+        proposed["kept"] = PowerAllocation(np.array(p_cap) if tie else _user0_off(p_cap))
+        proposed["score"] = table.sinr(proposed["kept"].p).min()
+        return PowerControlResult(proposed["kept"], 0.0, False)
+
+    def bf_step(chan, phase, power, sigma2):
+        if not starts:
+            return optimal_beamformers(chan, phase, power, sigma2)
+        # a quant phase step proposes its combiners unchanged, so these are the current ones
+        rows = starts[0][2].rows
+        if not tie:
+            rows, g0 = rows.copy(), effective_channel(chan, phase)[:, 0]
+            rows[0] -= g0 * (np.vdot(g0, rows[0]) / np.vdot(g0, g0))
+            rows[0] /= np.linalg.norm(rows[0])
+        proposed["kept"] = Beamformer(rows)
+        proposed["score"] = gain_table(chan, phase, proposed["kept"], sigma2).sinr(power.p).min()
+        return proposed["kept"]
+
+    monkeypatch.setattr(alternating, "_phase_proposal", phase_proposal)
+    if stage == "power":
+        monkeypatch.setattr(alternating, "max_min_power", power_step)
+    if stage == "bf":
+        monkeypatch.setattr(alternating, "optimal_beamformers", bf_step)
+    sol = alternating_optimize(SMALL, small_channel(60), "quant", np.random.default_rng(61),
+                               max_sweeps=2 if stage == "bf" else 1)
+    at, kept = {"bf": (3, lambda: starts[1][2]), "power": (1, lambda: starts[0][1]),
+                "phase": (2, lambda: sol.power)}[stage]
+    trace = sol.report.stage_trace
+    before = trace[at - 1][1]
+    assert trace[at] == (stage, before)
+    if tie:
+        assert proposed["score"] == before and kept() is proposed["kept"]
+    else:
+        assert proposed["score"] < before and kept() is not proposed["kept"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_run_takes_the_scenario_cap(method):
+    sol = alternating_optimize(SMALL, small_channel(70), method, np.random.default_rng(71),
+                               max_sweeps=2)
+    assert sol.p_cap is SMALL.p_cap
 
 
 def test_random_baseline_has_no_phase_stages():

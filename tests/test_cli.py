@@ -77,6 +77,13 @@ REJECTIONS = {
     "bandwidth_hz: 0": "bandwidth must be positive, got 0.0",
     "bandwidth_hz: nan": "bandwidth must be finite, got nan",
     "bandwidth_hz: inf": "bandwidth must be finite, got inf",
+    # the bandwidth is held to its rule when sigma2_w sets the noise too
+    "sigma2_w: 1e-12\nbandwidth_hz: -5": "bandwidth must be positive, got -5.0",
+    "sigma2_w: 1e-12\nbandwidth_hz: nan": "bandwidth must be finite, got nan",
+    "sigma2_w: 1e-12\nbandwidth_hz: inf": "bandwidth must be finite, got inf",
+    # emf_max / sar_ref underflows to a zero power cap
+    "emf_max: 1e-320\nsar_ref: 1e10":
+        "power caps min(p_max, emf_max / sar_ref) must be positive, got [0.0, 0.0]",
 }
 
 
@@ -104,6 +111,34 @@ def test_run_rejects_a_worker_count_below_one(config_path, tmp_path, capsys, thr
 
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "bad.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe m: 3\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}")
+    out = tmp_path / "results.csv"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+
+
+def test_run_into_a_missing_directory_is_a_runtime_error(config_path, tmp_path, capsys):
+    assert main(["run", str(config_path), "--out", str(tmp_path / "nope" / "x.csv"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
+
+
+def test_validate_counts_the_grid_points(tmp_path, capsys):
+    path = tmp_path / "grid.cfg"
+    path.write_text(CONFIG + "k_grid: 2, 3\nm_grid: 3, 4, 5\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert "6 grid points" in capsys.readouterr().out
 
 
 def test_run_writes_csv(config_path, tmp_path, capsys):

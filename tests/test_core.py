@@ -1,17 +1,18 @@
+import pickle
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError,
+from ris_maxmin import (Beamformer, ChannelRealization, ConfigurationError, DomainError,
                         ExperimentPlan, PhaseVector, PowerAllocation, QuantOptions,
                         SinrReport, SystemConfig, build_quadratic_forms,
                         effective_channel, lse_gradient_phase, optimal_beamformers,
                         sinr_per_user, sinr_phase_tangent)
 from ris_maxmin import beamforming
-from ris_maxmin.core import GainTable, gain_table, noise_power
+from ris_maxmin.core import GainTable, effective_power_cap, gain_table, noise_power
 
 from conftest import complex_normal, random_beamformer, random_phase, synth_channel
 
@@ -64,6 +65,40 @@ def test_config_rejects_an_infinite_power_cap(kwargs):
 def test_config_takes_one_infinite_cap_term():
     assert SystemConfig(m=1, n=1, k=1, p_max=np.inf).p_max == np.inf
     assert np.all(SystemConfig(m=1, n=1, k=2, emf_max=np.inf).emf_max == np.inf)
+
+
+def test_p_cap_is_the_folded_cap_formed_once():
+    cfg = SystemConfig(m=2, n=3, k=3, p_max=0.3, sar_ref=(63e-4, 1e-2, 2e-3),
+                       emf_max=(0.0029, 1e-3, np.inf))
+    assert np.array_equal(cfg.p_cap, effective_power_cap(cfg.p_max, cfg.sar_ref, cfg.emf_max))
+    # derived, not set: it takes no value, cannot be rebound and cannot be written into
+    with pytest.raises(TypeError, match="p_cap"):
+        SystemConfig(m=2, n=3, k=1, p_cap=np.ones(1))
+    with pytest.raises(FrozenInstanceError):
+        cfg.p_cap = np.ones(3)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.p_cap[0] = 1.0
+    # replace forms the cap of the new values; a pickled copy (a worker process's)
+    # keeps its bits and stays read-only
+    moved = replace(cfg, k=2, sar_ref=5e-3, emf_max=(1e-3, 0.0029))
+    assert np.array_equal(moved.p_cap, effective_power_cap(moved.p_max, 5e-3, (1e-3, 0.0029)))
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert np.array_equal(clone.p_cap, cfg.p_cap)
+    with pytest.raises(ValueError, match="read-only"):
+        clone.p_cap[0] = 1.0
+
+
+def test_config_rejects_a_cap_that_underflows_to_zero():
+    with pytest.raises(DomainError, match=r"power caps .* must be positive, got \[0.0, 0.0\]"):
+        SystemConfig(m=1, n=1, k=2, emf_max=1e-320, sar_ref=1e10)
+
+
+@pytest.mark.parametrize("bandwidth, message", [
+    (-5.0, "bandwidth must be positive, got -5.0"), (np.nan, "bandwidth must be finite, got nan"),
+    (np.inf, "bandwidth must be finite, got inf")])
+def test_a_given_sigma2_does_not_excuse_a_bad_bandwidth(bandwidth, message):
+    with pytest.raises(DomainError, match=message):
+        SystemConfig(m=1, n=1, k=1, sigma2=1e-12, bandwidth_hz=bandwidth)
 
 
 @pytest.mark.parametrize("theta, alpha, message", [

@@ -337,6 +337,6 @@ def test_channel_hash_is_the_hash_of_the_dump(n, rho):
     sha256 of the dump that dump-channel writes, correlated scenario included."""
     config, plan = parse_config_text(f"m: 4\nn: {n}\nk: 3\nris_corr_rho: {rho}\ntrials: 4\nseed: 3\n")
     for trial in range(plan.trials):
-        chan = harness.trial_channel(config, plan, 0, trial)[2]
+        chan = harness.trial_channel(config, plan, 0, trial)[1]
         text = dump_channel_text(chan)
         assert harness._channel_hash(chan) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
