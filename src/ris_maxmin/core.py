@@ -99,6 +99,16 @@ def _check_sigma2(sigma2) -> None:
         raise ConfigurationError(f"sigma2 must be finite and positive, got {sigma2}")
 
 
+def _as_configuration_error(rule, *args):
+    """``rule(*args)``, its DomainError raised again as a ConfigurationError of
+    the same message: a scenario value outside a formula's domain is a bad
+    configuration."""
+    try:
+        return rule(*args)
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def _check_count(name: str, value, low: float = 1, high: int | None = None) -> int:
     """``value`` as an int; ConfigurationError naming ``name`` unless it is a
     whole number of at least ``low`` and, when ``high`` is set, at most
@@ -125,8 +135,10 @@ class SystemConfig:
     Element spacings ``d_bs`` and ``d_ris`` are fractions of the carrier
     wavelength, which is why no carrier frequency appears anywhere.
     ``p_cap`` is derived and read-only: effective_power_cap(p_max, sar_ref,
-    emf_max), formed once per scenario. A bad bandwidth (sigma2 given or not)
-    or a zero cap raises DomainError, any other bad value ConfigurationError.
+    emf_max), formed once per scenario. A bad value raises ConfigurationError:
+    a bad bandwidth (sigma2 given or not) or a zero cap with the message of
+    the DomainError that noise_power or effective_power_cap raises, chained
+    from it.
     """
 
     m: int
@@ -153,7 +165,7 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("m", "n", "k"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        noise = noise_power(self.bandwidth_hz)
+        noise = _as_configuration_error(noise_power, self.bandwidth_hz)
         if self.sigma2 is None:
             object.__setattr__(self, "sigma2", noise)
         _check_sigma2(self.sigma2)
@@ -191,7 +203,7 @@ class SystemConfig:
         # leaves p_max, which must then be finite
         if not np.all(np.isfinite(self.sar_ref)):
             raise ConfigurationError(f"sar_ref entries must be finite, got {self.sar_ref.tolist()}")
-        cap = effective_power_cap(self.p_max, self.sar_ref, self.emf_max)
+        cap = _as_configuration_error(effective_power_cap, self.p_max, self.sar_ref, self.emf_max)
         if not np.all(np.isfinite(cap)):
             raise ConfigurationError(
                 f"p_max and emf_max must not both be infinite: the power cap "

@@ -31,13 +31,18 @@ gives the couplings the phase derivative needs. Both smooth-min steps run
 one L-BFGS-B climb over the angles (_lbfgsb_climb: budget LSE_MAX_ITERS,
 tolerance LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
 max-min SINR after power control, and lse_gradient_phase on the
-log-sum-exp surrogate of the SINRs at frozen powers. For the former,
+log-sum-exp surrogate of the SINRs at frozen powers. The climb calls
+scipy's compiled L-BFGS-B routine, setulb, in its own loop, which gives the
+points, counts and bits of scipy.optimize.minimize without its wrappers;
+where setulb lacks the signature this loop was written for, it calls
+minimize. For the former,
 max_min_sinr_tangent's one solve of the power step's balance system gives
 both the gradient of tau and the slope of the max-min powers, and that
 slope at the best phase so far predicts where each candidate's power step
 starts.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -259,22 +264,85 @@ def _iterate_phase(theta: np.ndarray, alpha: float) -> PhaseVector:
 LSE_GRAD_TOL = 1e-6         # largest projected-gradient entry at which a step has converged
 LSE_MAX_ITERS = 200         # L-BFGS-B iterations per smooth-min phase step
 
+# the rest of the climb's L-BFGS-B settings, scipy.optimize.minimize's defaults
+_LBFGSB_MEMORY = 10                 # maxcor: correction pairs kept
+_LBFGSB_FTOL = 2.2204460492503131e-09   # relative reduction of f at which it stops
+_LBFGSB_MAXLS = 20                  # line-search steps per iteration
+_LBFGSB_MAXFUN = 15000              # objective evaluations
+_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
-def _lbfgsb_climb(objective, theta0: np.ndarray) -> tuple[int, bool]:
+
+@functools.cache
+def _bind_setulb():
+    """scipy's compiled L-BFGS-B routine, scipy.optimize._lbfgsb.setulb, when it
+    has the signature scipy 1.17.1 ships; None otherwise, and _lbfgsb_climb then
+    calls scipy.optimize.minimize. Bound at the first climb, since importing it
+    loads scipy.optimize (about 20 MB of RSS that only the lse steps need)."""
+    try:
+        from scipy.optimize._lbfgsb import setulb
+    except ImportError:
+        return None
+    return setulb if setulb.__doc__ == _SETULB_SIGNATURE else None
+
+
+def _lbfgsb_climb(objective, theta0: np.ndarray) -> tuple[int, bool, int]:
     """L-BFGS-B on ``objective`` (value and gradient over the angles) from ``theta0``, for
     at most LSE_MAX_ITERS iterations down to a projected gradient of LSE_GRAD_TOL: its
-    iteration count and convergence flag (the objective keeps the best iterate)."""
-    import scipy.optimize  # deferred: it adds about 20 MB of RSS that only the lse steps need
+    iteration count, convergence flag and objective-evaluation count (the objective
+    keeps the best iterate).
 
-    out = scipy.optimize.minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
-    return int(out.nit), bool(out.success)
+    The loop drives setulb (_bind_setulb) as scipy.optimize.minimize's L-BFGS-B
+    does: the same settings (ftol passed as setulb's factr = ftol / eps), its
+    iteration and evaluation stops (task codes 504 and 502), and
+    ScalarFunction's rule that evaluates a point only when it differs from the
+    last one evaluated. L-BFGS-B sees the same f and g, so every iterate and
+    count is minimize's, without the per-evaluation bookkeeping of minimize's
+    ScalarFunction and MemoizeJac wrappers. Where setulb is not bound,
+    minimize itself runs.
+    """
+    setulb = _bind_setulb()
+    if setulb is None:
+        import scipy.optimize
+        out = scipy.optimize.minimize(
+            objective, theta0, jac=True, method="L-BFGS-B",
+            options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL, "maxcor": _LBFGSB_MEMORY,
+                     "ftol": _LBFGSB_FTOL, "maxls": _LBFGSB_MAXLS, "maxfun": _LBFGSB_MAXFUN})
+        return int(out.nit), bool(out.success), int(out.nfev)
+
+    n, m, factr = theta0.size, _LBFGSB_MEMORY, _LBFGSB_FTOL / np.finfo(float).eps
+    x = np.array(theta0, dtype=float)
+    unbounded = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    evaluated = None
+    iterations = evaluations = 0
+    while True:
+        setulb(m, x, unbounded, unbounded, nbd, f, g, factr, LSE_GRAD_TOL,
+               wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:        # FG: f and g wanted at x
+            if evaluated is None or not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                f, g = objective(evaluated)
+                evaluations += 1
+        elif task[0] == 1:      # NEW_X: an iteration is done
+            iterations += 1
+            if iterations >= LSE_MAX_ITERS:
+                task[:] = 5, 504
+            elif evaluations > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+        else:                   # 4, CONVERGENCE; any other code ends unconverged
+            return iterations, bool(task[0] == 4), evaluations
 
 
 @dataclass
 class LseResult:
     """Outcome of a smooth-min phase step: the best phase seen, its minimum
-    SINR, and L-BFGS-B's iteration count and convergence flag.
+    SINR, and L-BFGS-B's iteration count, convergence flag and objective
+    evaluations (0 when a degenerate start returns before the climb).
 
     ``power_control`` is the mmse_max_min_power result at ``phase`` (its
     powers, tau and factorization) when the step re-optimizes the powers
@@ -285,6 +353,7 @@ class LseResult:
     min_sinr: float
     iterations: int
     converged: bool
+    evaluations: int = 0
     warning: str | None = None
     power_control: PowerControlResult | None = None
 
@@ -303,7 +372,7 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
     alpha = init.alpha
     rho = post_bf_sinr_values(effective_channel(chan, init), p, sigma2).sinr
     if np.any(rho <= 0):
-        return LseResult(init, float(rho.min()), 0, False,
+        return LseResult(init, float(rho.min()), 0, False, 0,
                          warning="degenerate SINR at the initial phase")
     best = {"min": float(rho.min()), "theta": init.theta}
 
@@ -318,9 +387,8 @@ def lse_gradient_phase(chan: ChannelRealization, powers, init: PhaseVector,
         weights /= weights.sum()
         return lse_objective(rho), -(weights / rho ** 2) @ tangent
 
-    iterations, converged = _lbfgsb_climb(surrogate, init.theta)
-    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["min"],
-                     iterations, converged)
+    climb = _lbfgsb_climb(surrogate, init.theta)
+    return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["min"], *climb)
 
 
 def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
@@ -342,7 +410,7 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
     alpha = init.alpha
     _, start, slope = max_min_sinr_tangent(chan, init, p_cap, sigma2)
     if start.degenerate:
-        return LseResult(init, start.tau, 0, False,
+        return LseResult(init, start.tau, 0, False, 0,
                          warning="degenerate SINR at the initial phase", power_control=start)
 
     best = {"result": start, "theta": init.theta, "slope": slope}
@@ -357,9 +425,9 @@ def lse_max_min_phase(chan: ChannelRealization, init: PhaseVector, p_cap,
             best.update(result=result, theta=theta.copy(), slope=slope)
         return -np.log(result.tau), -grad / result.tau
 
-    iterations, converged = _lbfgsb_climb(neg_log_tau, init.theta)
+    climb = _lbfgsb_climb(neg_log_tau, init.theta)
     return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["result"].tau,
-                     iterations, converged, power_control=best["result"])
+                     *climb, power_control=best["result"])
 
 
 def phase_grid(bits: int) -> np.ndarray:

@@ -355,7 +355,7 @@ def reference_lse_max_min_phase(chan, init, p_cap, sigma2) -> LseResult:
     out = scipy.optimize.minimize(neg_log_tau, init.theta, jac=True, method="L-BFGS-B",
                                   options={"maxiter": LSE_MAX_ITERS, "gtol": LSE_GRAD_TOL})
     return LseResult(PhaseVector(theta=best["theta"], alpha=alpha), best["result"].tau,
-                     int(out.nit), bool(out.success), power_control=best["result"])
+                     int(out.nit), bool(out.success), int(out.nfev), power_control=best["result"])
 
 
 def sweeping_random_baseline(config, chan, rng, tol=1e-4, max_sweeps=30):

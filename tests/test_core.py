@@ -89,16 +89,22 @@ def test_p_cap_is_the_folded_cap_formed_once():
 
 
 def test_config_rejects_a_cap_that_underflows_to_zero():
-    with pytest.raises(DomainError, match=r"power caps .* must be positive, got \[0.0, 0.0\]"):
+    with pytest.raises(ConfigurationError, match=r"power caps .* must be positive, got \[0.0, 0.0\]") as caught:
         SystemConfig(m=1, n=1, k=2, emf_max=1e-320, sar_ref=1e10)
+    assert isinstance(caught.value.__cause__, DomainError)
+    assert str(caught.value) == str(caught.value.__cause__)
 
 
 @pytest.mark.parametrize("bandwidth, message", [
     (-5.0, "bandwidth must be positive, got -5.0"), (np.nan, "bandwidth must be finite, got nan"),
     (np.inf, "bandwidth must be finite, got inf")])
 def test_a_given_sigma2_does_not_excuse_a_bad_bandwidth(bandwidth, message):
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(ConfigurationError, match=message) as caught:
         SystemConfig(m=1, n=1, k=1, sigma2=1e-12, bandwidth_hz=bandwidth)
+    assert isinstance(caught.value.__cause__, DomainError)
+    assert str(caught.value) == message
+    with pytest.raises(DomainError, match=message):
+        noise_power(bandwidth)
 
 
 @pytest.mark.parametrize("theta, alpha, message", [

@@ -97,6 +97,20 @@ def test_out_of_range_value_names_constraint():
         parse_config_text(MINIMAL + "alpha: 1.5\n")
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("bandwidth_hz: -5\n", "invalid scenario value: bandwidth must be positive, got -5.0"),
+    ("sigma2_w: 1e-12\nbandwidth_hz: nan\n", "invalid scenario value: bandwidth must be finite, got nan"),
+    ("emf_max: 1e-320\nsar_ref: 1e10\n",
+     r"invalid scenario value: power caps .* must be positive, got \[0.0, 0.0\]"),
+])
+def test_a_value_outside_a_formulas_domain_is_an_invalid_scenario_value(lines, message):
+    """A bandwidth or power cap that noise_power or effective_power_cap rejects
+    as a DomainError reaches the parse as a ConfigurationError of SystemConfig,
+    which the parse prefixes as it does every other bad scenario value."""
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config_text(MINIMAL + lines)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigurationError, match="duplicate"):
         parse_config_text(MINIMAL + "m: 5\n")

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ris_maxmin import (ChannelRealization, PhaseVector, effective_channel,
-                        lse_gradient_phase, sinr_phase_tangent)
+from ris_maxmin import (ChannelRealization, PhaseVector, SystemConfig, effective_channel,
+                        lse_gradient_phase, sample_channel, sinr_phase_tangent)
+from ris_maxmin import phase as phase_module
 from ris_maxmin.errors import NumericError
 from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
                               max_min_sinr_tangent)
 from ris_maxmin.power import mmse_max_min_power
 
+import oracles
 from conftest import random_phase, synth_channel
 from oracles import finite_difference_tangent, post_bf_sinr
 
@@ -119,7 +121,7 @@ def test_lse_gradient_returns_a_degenerate_start_unchanged(rng):
     phase = random_phase(rng, 4)
     out = lse_gradient_phase(chan, np.array([0.5, 0.5]), phase, 1.0)
     assert out.phase is phase
-    assert out.iterations == 0 and not out.converged
+    assert out.iterations == 0 and not out.converged and out.evaluations == 0
     assert out.min_sinr == 0.0
     assert out.warning == "degenerate SINR at the initial phase"
 
@@ -143,22 +145,199 @@ def test_a_non_finite_solver_iterate_is_a_numeric_error(monkeypatch, rng, step, 
     """An L-BFGS-B iterate with a non-finite angle reaches the MMSE kernel's
     finite check and fails as a NumericError (the CLI's exit 2), not as a
     ConfigurationError of the phase it is built into. A nan angle gets there
-    silently; an infinite one after np.mod's invalid-value warning."""
+    silently; an infinite one after np.mod's invalid-value warning. Both
+    paths are held to it: setulb's, whose first requested point is
+    corrupted, and minimize's, whose first point is."""
     chan = synth_channel(rng, 3, 4, 2)
     phase = random_phase(rng, 4)
+    setulb = phase_module._bind_setulb()
+
+    def corrupting_setulb(*args):
+        setulb(*args)
+        x, task = args[1], args[11]
+        if task[0] == 3:
+            x[2] = bad
 
     def minimize(fun, x0, **_):
         x = x0.copy()
         x[2] = bad
         return fun(x)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericError, match="effective channel contains non-finite entries"):
-            if step == "max-min":
-                lse_max_min_phase(chan, phase, np.array([0.5, 0.5]), 1.0)
-            else:
-                lse_gradient_phase(chan, np.array([0.5, 0.5]), phase, 1.0)
-    expected = [] if np.isnan(bad) else ["invalid value encountered in remainder"]
-    assert sorted({str(w.message) for w in caught}) == expected
+    paths = {"minimize": lambda patch: (patch.setattr(phase_module, "_bind_setulb", lambda: None),
+                                          patch.setattr(scipy.optimize, "minimize", minimize))}
+    if setulb is not None:
+        paths["setulb"] = lambda patch: patch.setattr(phase_module, "_bind_setulb",
+                                                        lambda: corrupting_setulb)
+    for path, install in paths.items():
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            install(patch)
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="effective channel contains non-finite entries"):
+                if step == "max-min":
+                    lse_max_min_phase(chan, phase, np.array([0.5, 0.5]), 1.0)
+                else:
+                    lse_gradient_phase(chan, np.array([0.5, 0.5]), phase, 1.0)
+        expected = [] if np.isnan(bad) else ["invalid value encountered in remainder"]
+        assert sorted({str(w.message) for w in caught}) == expected, path
+
+
+needs_setulb = pytest.mark.skipif(
+    phase_module._bind_setulb() is None,
+    reason="scipy.optimize._lbfgsb.setulb is missing or lacks scipy 1.17.1's signature, "
+           "so every climb runs scipy.optimize.minimize")
+DIRECT = pytest.param("setulb", marks=needs_setulb)
+
+
+def _run_climbs(monkeypatch, path, run):
+    """``run()`` with every L-BFGS-B climb on ``path`` ("setulb", the direct
+    loop, or "minimize", the fallback): its result, the points each climb's
+    objective was evaluated at, and what each climb returned."""
+    points, returned = [], []
+    climb = phase_module._lbfgsb_climb
+
+    def recording(objective, theta0):
+        def recorded(theta):
+            points.append(np.array(theta, dtype=float))
+            return objective(theta)
+        returned.append(climb(recorded, theta0))
+        return returned[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phase_module, "_lbfgsb_climb", recording)
+        if path == "minimize":
+            patch.setattr(phase_module, "_bind_setulb", lambda: None)
+        return run(), points, returned
+
+
+def _same_climbs(monkeypatch, run):
+    """Run ``run`` on both paths and hold them to the same evaluated points,
+    bit for bit, and the same iterations, convergence and evaluation counts;
+    returns both results."""
+    direct, direct_points, direct_returned = _run_climbs(monkeypatch, "setulb", run)
+    fallback, fallback_points, fallback_returned = _run_climbs(monkeypatch, "minimize", run)
+    assert direct_returned == fallback_returned
+    assert sum(count for _, _, count in direct_returned) == len(direct_points)
+    assert len(direct_points) == len(fallback_points) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(direct_points, fallback_points))
+    return direct, fallback
+
+
+def _same_lse_bits(actual, expected):
+    assert np.array_equal(actual.phase.theta, expected.phase.theta)
+    assert (actual.min_sinr, actual.iterations, actual.converged, actual.evaluations,
+            actual.warning) == (expected.min_sinr, expected.iterations, expected.converged,
+                                expected.evaluations, expected.warning)
+    if expected.power_control is not None:
+        assert np.array_equal(actual.power_control.power.p, expected.power_control.power.p)
+
+
+@needs_setulb
+@pytest.mark.parametrize("k", [2, 6])
+@pytest.mark.parametrize("step", ["max-min", "frozen-power"])
+def test_the_direct_climb_matches_minimize_on_the_lse_steps(monkeypatch, k, step):
+    """On a headline draw, both lse steps climb through the same points on
+    setulb directly as on scipy.optimize.minimize, and return the same bits."""
+    cfg = SystemConfig(m=12, n=24, k=k)
+    chan = sample_channel(cfg, np.random.default_rng((15, k)))
+    init = PhaseVector.random(cfg.n, cfg.alpha, np.random.default_rng((16, k)))
+    if step == "max-min":
+        def run():
+            return lse_max_min_phase(chan, init, cfg.p_cap, cfg.sigma2)
+    else:
+        def run():
+            return lse_gradient_phase(chan, np.linspace(0.1, cfg.p_max, k), init, cfg.sigma2)
+    _same_lse_bits(*_same_climbs(monkeypatch, run))
+
+
+@needs_setulb
+def test_the_direct_climb_stops_at_minimizes_iteration_budget(monkeypatch):
+    cfg = SystemConfig(m=12, n=24, k=6)
+    chan = sample_channel(cfg, np.random.default_rng((15, 0)))
+    init = PhaseVector.random(cfg.n, cfg.alpha, np.random.default_rng((16, 0)))
+    monkeypatch.setattr(phase_module, "LSE_MAX_ITERS", 2)
+    direct, fallback = _same_climbs(
+        monkeypatch, lambda: lse_max_min_phase(chan, init, cfg.p_cap, cfg.sigma2))
+    _same_lse_bits(direct, fallback)
+    assert direct.iterations == 2 and not direct.converged
+
+
+@needs_setulb
+def test_the_direct_climb_takes_an_infinite_objective_as_minimize_does(monkeypatch):
+    """A quadratic bowl whose floor lies where the objective is infinite: both
+    paths step into the infinite region, back off it the same way and stop
+    at its edge."""
+    values = []
+
+    def bowl(theta):
+        if theta.max() > 2.0:
+            values.append(np.inf)
+            return np.inf, np.zeros_like(theta)
+        values.append(float(np.sum((theta - 3.0) ** 2)))
+        return values[-1], 2.0 * (theta - 3.0)
+
+    _same_climbs(monkeypatch, lambda: phase_module._lbfgsb_climb(bowl, np.zeros(4)))
+    assert np.inf in values
+
+
+@needs_setulb
+def test_the_direct_climb_fails_a_line_search_as_minimize_does(monkeypatch):
+    """A gradient of the wrong sign points every line search uphill: both
+    paths give up after the start and _LBFGSB_MAXLS trial steps, before
+    the first iteration, unconverged."""
+    def uphill(theta):
+        return float(np.sum((theta - 1.0) ** 2)), -2.0 * (theta - 1.0)
+
+    _same_climbs(monkeypatch, lambda: phase_module._lbfgsb_climb(uphill, np.zeros(4)))
+    assert phase_module._lbfgsb_climb(uphill, np.zeros(4)) == (0, False, 1 + phase_module._LBFGSB_MAXLS)
+
+
+@needs_setulb
+def test_the_direct_climb_stops_at_minimizes_evaluation_budget(monkeypatch):
+    """With the evaluation budget cut to 5, both paths stop after the
+    iteration in which the count first exceeds it, unconverged."""
+    scale = np.geomspace(1.0, 1e3, 6)
+
+    def valley(theta):
+        return float(scale @ (theta - 1.0) ** 2), 2.0 * scale * (theta - 1.0)
+
+    monkeypatch.setattr(phase_module, "_LBFGSB_MAXFUN", 5)
+    _same_climbs(monkeypatch, lambda: phase_module._lbfgsb_climb(valley, np.zeros(6)))
+    iterations, converged, evaluations = phase_module._lbfgsb_climb(valley, np.zeros(6))
+    assert not converged and evaluations > 5 and iterations < LSE_MAX_ITERS
+
+
+def test_lse_counts_the_reference_chains_evaluations():
+    """The evaluation count of lse_max_min_phase is scipy's nfev on the
+    reference chain, which climbs through scipy.optimize.minimize."""
+    cfg = SystemConfig(m=12, n=24, k=6)
+    chan = sample_channel(cfg, np.random.default_rng((15, 0)))
+    init = PhaseVector.random(cfg.n, cfg.alpha, np.random.default_rng((16, 0)))
+    ours = lse_max_min_phase(chan, init, cfg.p_cap, cfg.sigma2)
+    reference = oracles.reference_lse_max_min_phase(chan, init, cfg.p_cap, cfg.sigma2)
+    assert ours.evaluations == reference.evaluations > 0
+
+
+@pytest.mark.parametrize("path", [DIRECT, "minimize"])
+@pytest.mark.parametrize("step", ["max-min", "frozen-power"])
+def test_lse_counts_one_evaluation_per_tangent_call_of_its_climb(monkeypatch, rng, path, step):
+    """Each evaluation calls the step's tangent once; the max-min step calls it
+    once more, at the initial phase, before it climbs."""
+    chan = synth_channel(rng, 3, 5, 3)
+    phase = random_phase(rng, 5)
+    caps = rng.uniform(0.2, 1.0, 3)
+    name = "max_min_sinr_tangent" if step == "max-min" else "sinr_phase_tangent"
+    tangent, calls = getattr(phase_module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tangent(*args, **kwargs)
+
+    monkeypatch.setattr(phase_module, name, counted)
+    if path == "minimize":
+        monkeypatch.setattr(phase_module, "_bind_setulb", lambda: None)
+    if step == "max-min":
+        out = lse_max_min_phase(chan, phase, caps, 1.0)
+        assert out.evaluations == len(calls) - 1 > 0
+    else:
+        out = lse_gradient_phase(chan, caps, phase, 1.0)
+        assert out.evaluations == len(calls) > 0
