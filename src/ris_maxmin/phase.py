@@ -33,9 +33,11 @@ tolerance LSE_GRAD_TOL): lse_max_min_phase, the loop's step, on the
 max-min SINR after power control, and lse_gradient_phase on the
 log-sum-exp surrogate of the SINRs at frozen powers. The climb calls
 scipy's compiled L-BFGS-B routine, setulb, in its own loop, which gives the
-points, counts and bits of scipy.optimize.minimize without its wrappers;
-where setulb lacks the signature this loop was written for, it calls
-minimize. For the former,
+points, counts and bits of scipy.optimize.minimize without its wrappers.
+It loads setulb from its extension file alone, so a process that does not
+import scipy.optimize itself never does (about 20 MB of RSS). Where the
+file is missing or setulb lacks the signature this loop was written for,
+the climb calls minimize. For the former,
 max_min_sinr_tangent's one solve of the power step's balance system gives
 both the gradient of tau and the slope of the max-min powers, and that
 slope at the best phase so far predicts where each candidate's power step
@@ -43,7 +45,11 @@ starts.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,6 +275,7 @@ _LBFGSB_MEMORY = 10                 # maxcor: correction pairs kept
 _LBFGSB_FTOL = 2.2204460492503131e-09   # relative reduction of f at which it stops
 _LBFGSB_MAXLS = 20                  # line-search steps per iteration
 _LBFGSB_MAXFUN = 15000              # objective evaluations
+_LBFGSB_MODULE = "scipy.optimize._lbfgsb"
 _SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
@@ -276,13 +283,36 @@ _SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,
 def _bind_setulb():
     """scipy's compiled L-BFGS-B routine, scipy.optimize._lbfgsb.setulb, when it
     has the signature scipy 1.17.1 ships; None otherwise, and _lbfgsb_climb then
-    calls scipy.optimize.minimize. Bound at the first climb, since importing it
-    loads scipy.optimize (about 20 MB of RSS that only the lse steps need)."""
-    try:
-        from scipy.optimize._lbfgsb import setulb
-    except ImportError:
-        return None
-    return setulb if setulb.__doc__ == _SETULB_SIGNATURE else None
+    calls scipy.optimize.minimize. Bound at the first climb, from the module
+    where scipy.optimize is already imported and from its extension file alone
+    (_load_lbfgsb) where it is not, so no run needs scipy.optimize's import
+    (about 20 MB of RSS and 0.2 s)."""
+    module = sys.modules.get(_LBFGSB_MODULE) or _load_lbfgsb()
+    setulb = getattr(module, "setulb", None)
+    return setulb if getattr(setulb, "__doc__", None) == _SETULB_SIGNATURE else None
+
+
+def _load_lbfgsb():
+    """scipy.optimize._lbfgsb loaded from its extension file in scipy's package
+    directory, without running scipy/optimize/__init__ and without a
+    sys.modules entry; None where the file is missing or does not load."""
+    for directory in importlib.util.find_spec("scipy").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_lbfgsb" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(_LBFGSB_MODULE, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_LBFGSB_MODULE, loader))
+                loader.exec_module(module)
+                return module
+            except ImportError:
+                return None
+            finally:
+                # a single-phase extension enters itself in sys.modules as it is created
+                sys.modules.pop(_LBFGSB_MODULE, None)
+    return None
 
 
 def _lbfgsb_climb(objective, theta0: np.ndarray) -> tuple[int, bool, int]:

@@ -1,7 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ris_maxmin
 from ris_maxmin import Beamformer, ChannelRealization, PhaseVector
+
+
+def run_fresh(script, *args):
+    """The standard output of ``script``, run with ``args`` in a fresh
+    interpreter that imports this checkout's ris_maxmin."""
+    src = str(Path(ris_maxmin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def complex_normal(rng, shape):

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import ris_maxmin
 from ris_maxmin import (ConfigurationError, QuantOptions, SystemConfig,
                         alternating_optimize, effective_channel, sample_channel,
                         sinr_per_user)
@@ -18,6 +12,7 @@ from ris_maxmin.beamforming import mmse_combiners, optimal_beamformers
 from ris_maxmin.phase import lse_max_min_phase
 from ris_maxmin.power import PowerControlResult, effective_power_cap, mmse_max_min_power
 
+from conftest import run_fresh
 from oracles import sweeping_random_baseline
 
 SMALL = SystemConfig(m=4, n=6, k=3)
@@ -346,25 +341,35 @@ def test_wall_time_and_iterations_recorded():
     assert sol.method == "lse"
 
 
-def test_only_lse_imports_scipy_optimize():
-    # scipy.optimize adds about 20 MB of RSS, so batch runs without lse skip it
+@pytest.mark.parametrize("binding", ["setulb", "fallback"])
+def test_only_the_lse_fallback_imports_scipy_optimize(binding):
+    """scipy.optimize costs a process about 20 MB of RSS. In a fresh
+    interpreter no method imports it while setulb binds from its extension
+    file; with the binding missed, lse imports it for minimize and returns
+    the same bits."""
     script = """
 import sys
 import numpy as np
-from ris_maxmin import SystemConfig, alternating_optimize, sample_channel
+from ris_maxmin import SystemConfig, alternating_optimize, phase, sample_channel
+if sys.argv[1] == "fallback":
+    phase._bind_setulb = lambda: None
 cfg = SystemConfig(m=3, n=4, k=2)
 chan = sample_channel(cfg, np.random.default_rng(0))
-for method in ("quant", "sdr", "random-baseline"):
-    alternating_optimize(cfg, chan, method, np.random.default_rng(1), max_sweeps=2)
-before = "scipy.optimize" in sys.modules
-alternating_optimize(cfg, chan, "lse", np.random.default_rng(1), max_sweeps=2)
-print(before, "scipy.optimize" in sys.modules)
+print(phase._bind_setulb() is not None)
+for method in ("quant", "sdr", "random-baseline", "lse"):
+    sol = alternating_optimize(cfg, chan, method, np.random.default_rng(1), max_sweeps=2)
+    print("scipy.optimize" in sys.modules)
+print(sol.report.minimum.hex(), sol.iterations)
 """
-    src = str(Path(ris_maxmin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    bound, *loaded, lse = run_fresh(script, binding).splitlines()
+    if binding == "setulb":
+        if bound != "True":
+            pytest.skip("setulb does not bind, so every climb runs scipy.optimize.minimize")
+        assert loaded == ["False"] * 4
+    else:
+        assert bound == "False"
+        assert loaded == ["False", "False", "False", "True"]
+        assert lse == run_fresh(script, "setulb").splitlines()[-1]
 
 
 @pytest.mark.parametrize("method", METHODS)

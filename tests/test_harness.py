@@ -1,9 +1,6 @@
 import csv
 import hashlib
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +15,7 @@ from ris_maxmin.harness import (CONFIG_KEYS, CSV_COLUMNS, derive_trial_seed,
                                 dump_config, load_config, parse_config_text,
                                 records_to_csv_text)
 
+from conftest import run_fresh
 from oracles import serial_quantized_heuristic_phase
 
 MINIMAL = """
@@ -275,11 +273,7 @@ from ris_maxmin.harness import parse_config_text, run_experiment
 run_experiment(*parse_config_text({SMALL_PLAN!r}))
 print("multiprocessing" in sys.modules, "concurrent.futures.process" in sys.modules)
 """
-    src = str(Path(ris_maxmin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert run_fresh(script).split() == ["False", "False"]
 
 
 def test_worker_pool_preserves_output(tmp_path):

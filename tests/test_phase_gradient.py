@@ -1,3 +1,8 @@
+import importlib.machinery
+import importlib.util
+import json
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -13,7 +18,7 @@ from ris_maxmin.phase import (LSE_MAX_ITERS, lse_max_min_phase,
 from ris_maxmin.power import mmse_max_min_power
 
 import oracles
-from conftest import random_phase, synth_channel
+from conftest import random_phase, run_fresh, synth_channel
 from oracles import finite_difference_tangent, post_bf_sinr
 
 
@@ -304,6 +309,70 @@ def test_the_direct_climb_stops_at_minimizes_evaluation_budget(monkeypatch):
     _same_climbs(monkeypatch, lambda: phase_module._lbfgsb_climb(valley, np.zeros(6)))
     iterations, converged, evaluations = phase_module._lbfgsb_climb(valley, np.zeros(6))
     assert not converged and evaluations > 5 and iterations < LSE_MAX_ITERS
+
+
+def test_setulb_binds_from_its_extension_file_and_scipy_optimize_imports_after():
+    """In a fresh interpreter the binding loads setulb from its extension file
+    alone. scipy.optimize imports afterwards, its L-BFGS-B minimize runs, and a
+    second lse step returns the first one's bits."""
+    script = """
+import json, sys
+import numpy as np
+from ris_maxmin import PhaseVector, SystemConfig, sample_channel
+from ris_maxmin.phase import _bind_setulb, lse_max_min_phase
+cfg = SystemConfig(m=12, n=24, k=2)
+chan = sample_channel(cfg, np.random.default_rng((15, 2)))
+init = PhaseVector.random(cfg.n, cfg.alpha, np.random.default_rng((16, 2)))
+def step():
+    out = lse_max_min_phase(chan, init, cfg.p_cap, cfg.sigma2)
+    return [out.phase.theta.tobytes().hex(), out.min_sinr.hex(), out.iterations, out.evaluations]
+first = step()
+report = {"bound": _bind_setulb() is not None, "imported": "scipy.optimize" in sys.modules,
+          "entry": "scipy.optimize._lbfgsb" in sys.modules, "first": first}
+import scipy.optimize
+out = scipy.optimize.minimize(lambda x: (float(((x - 1) ** 2).sum()), 2 * (x - 1)), np.zeros(3),
+                              jac=True, method="L-BFGS-B")
+report.update(minimized=bool(out.success) and np.allclose(out.x, 1), second=step())
+print(json.dumps(report))
+"""
+    report = json.loads(run_fresh(script))
+    if not report["bound"]:
+        pytest.skip("setulb does not bind, so every climb runs scipy.optimize.minimize")
+    assert not report["imported"] and not report["entry"]
+    assert report["minimized"]
+    assert report["second"] == report["first"] and report["first"][2] > 0
+
+
+@needs_setulb
+def test_setulb_binds_from_an_imported_scipy_optimize(monkeypatch):
+    """Where scipy.optimize is imported, the binding takes its setulb and
+    loads no file."""
+    import scipy.optimize._lbfgsb
+
+    monkeypatch.setattr(phase_module, "_load_lbfgsb", lambda: pytest.fail("loaded from the file"))
+    assert phase_module._bind_setulb.__wrapped__() is scipy.optimize._lbfgsb.setulb
+
+
+@pytest.mark.parametrize("case", ["no file", "broken file", "another signature"])
+def test_setulb_misses_bind_nothing(monkeypatch, tmp_path, case):
+    """A scipy directory without the extension file, a file that does not
+    load, and a setulb with another docstring (scipy 1.14's) all leave the
+    climb on scipy.optimize.minimize, and no sys.modules entry."""
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+    if case == "another signature":
+        def setulb():
+            """setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,lsave,isave,dsave,maxls)"""
+        monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", types.SimpleNamespace(setulb=setulb))
+    else:
+        (tmp_path / "optimize").mkdir()
+        if case == "broken file":
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / "optimize" / f"_lbfgsb{suffix}").write_bytes(b"not a shared object")
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: scipy_spec)
+    assert phase_module._bind_setulb.__wrapped__() is None
+    assert ("scipy.optimize._lbfgsb" in sys.modules) == (case == "another signature")
 
 
 def test_lse_counts_the_reference_chains_evaluations():
